@@ -107,10 +107,13 @@ func extensionBench(b *testing.B, domains ...string) {
 
 // BenchmarkParallelSweep is the guardrail for the concurrent sweep
 // engine: the same Figure 7 encryption domain sweep at -j 1 and at one
-// worker per CPU. Compare the two sub-benchmarks' ns/op for the measured
-// wall-clock speedup (on a single-core machine they tie); the
-// effective-parallelism metric reports how many compile jobs were in
-// flight on average.
+// worker per CPU. The ratio of the two sub-benchmarks' ns/op is the
+// measured wall-clock speedup (on a single-core machine they tie). The
+// effective-parallelism metric is how many pool jobs were working on
+// average, with time blocked on another job's memo cell or selection lock
+// excluded; it bounds the speedup from above and is not a measurement of
+// it, since jobs sharing a core or waiting on the garbage collector still
+// count as working.
 func BenchmarkParallelSweep(b *testing.B) {
 	js := []int{1, runtime.GOMAXPROCS(0)}
 	if js[1] < 2 {

@@ -201,8 +201,9 @@ func main() {
 	}
 	// Timing and corpus accounting go to stderr so stdout stays
 	// byte-identical across -j and across cold/warm corpus runs.
-	// Aggregate/wall equals the mean number of in-flight jobs; on unloaded
-	// cores that is the parallel speedup over a -j 1 run.
+	// Aggregate/wall is the mean number of pool jobs working at once (time
+	// blocked on another job's memo or selection lock excluded): an upper
+	// bound on the speedup over a -j 1 run, which only timing -j 1 gives.
 	if store != nil {
 		s := store.Stats()
 		log.Printf("corpus: %d hits, %d misses, %d entries (%d disk segments, %d bytes)",
@@ -213,7 +214,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	agg := h.AggregateJobTime()
-	log.Printf("wall-clock %v for %v of compile jobs: parallel speedup %.2fx",
+	log.Printf("wall-clock %v for %v of pool-job work: %.2f jobs working on average",
 		elapsed.Round(time.Millisecond), agg.Round(time.Millisecond),
 		float64(agg)/float64(elapsed))
 

@@ -16,11 +16,11 @@ import (
 
 // Occurrence is one place in the program where a CFU's pattern appears.
 type Occurrence struct {
-	Block    *ir.Block
-	DFG      *ir.DFG
-	Set      ir.OpSet
-	NodeToOp []int
-	Weight   float64
+	Block *ir.Block
+	DFG   *ir.DFG
+	// Ops are the occurrence's op indices within Block, ascending.
+	Ops    []int
+	Weight float64
 }
 
 // CFU is a candidate custom function unit: an equivalence class of
@@ -106,11 +106,8 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 				break
 			}
 		}
-		shape, nodeToOp, _ := graph.FromOpSet(cand.DFG, cand.Set)
-		occ := Occurrence{
-			Block: cand.Block, DFG: cand.DFG, Set: cand.Set,
-			NodeToOp: nodeToOp, Weight: cand.Block.Weight,
-		}
+		shape, _, _ := graph.FromOpSet(cand.DFG, cand.Set)
+		occ := Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Set.Sorted(), Weight: cand.Block.Weight}
 		sig := shape.Signature()
 		var home *CFU
 		for _, c := range bySig[sig] {
@@ -144,8 +141,9 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	}
 	cfus = kept
 
-	for _, c := range cfus {
-		c.Value = estimateValue(c, nil)
+	space := newOpSpace(cfus)
+	for i, c := range cfus {
+		c.Value = space.value(i)
 	}
 	opts.Telemetry.Add("combine.candidates.in", int64(len(res.Candidates)))
 	opts.Telemetry.Add("combine.cfus.out", int64(len(cfus)))
@@ -208,6 +206,18 @@ func newRelationIndex(cfus []*CFU) *relationIndex {
 	return r
 }
 
+// fresh returns an index sharing r's buckets with its own done sets, so a
+// new selection pass re-examines every CFU it picks.
+func (r *relationIndex) fresh() *relationIndex {
+	return &relationIndex{
+		cfus:     r.cfus,
+		bySig:    r.bySig,
+		byDims:   r.byDims,
+		subsDone: make(map[int]bool),
+		wildDone: make(map[int]bool),
+	}
+}
+
 // subsumptionFor records which candidates a's hardware subsumes: every
 // candidate whose pattern is isomorphic to one of a's variants.
 func (r *relationIndex) subsumptionFor(a *CFU) {
@@ -263,52 +273,6 @@ func (r *relationIndex) wildcardsFor(a *CFU, lib *hwlib.Library) {
 // while the CFU issues once and completes in its pipelined latency.
 func savedPerExec(s *graph.Shape, lib *hwlib.Library) float64 {
 	return float64(len(s.Nodes)) - float64(s.Cycles(lib))
-}
-
-// estimateValue computes the profile-weighted savings over a maximal
-// disjoint subset of the CFU's occurrences, skipping ops claimed by
-// already-selected CFUs. Disjointness prevents double counting when the
-// same operations appear in overlapping occurrences.
-func estimateValue(c *CFU, claimed map[opKey]bool) float64 {
-	used := make(map[opKey]bool)
-	total := 0.0
-	for _, occ := range liveOccurrences(c, claimed, used) {
-		total += occ.Weight * c.SavedPerExec
-	}
-	return total
-}
-
-// liveOccurrences returns a maximal set of mutually disjoint occurrences
-// that avoid claimed ops. The used map, when non-nil, accumulates the ops
-// of returned occurrences (callers reuse it to claim them).
-func liveOccurrences(c *CFU, claimed, used map[opKey]bool) []Occurrence {
-	if used == nil {
-		used = make(map[opKey]bool)
-	}
-	var out []Occurrence
-	for _, occ := range c.Occurrences {
-		ok := true
-		for i := range occ.Set {
-			k := opKey{occ.Block, i}
-			if claimed[k] || used[k] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := range occ.Set {
-			used[opKey{occ.Block, i}] = true
-		}
-		out = append(out, occ)
-	}
-	return out
-}
-
-type opKey struct {
-	block *ir.Block
-	op    int
 }
 
 func containsInt(s []int, v int) bool {

@@ -12,7 +12,8 @@
 //   - Select (§3.4): pick CFUs under the area budget; SelectMode chooses
 //     the heuristic — GreedyRatio (value/cost, the paper's choice),
 //     GreedyValue, or Knapsack (optimal dynamic program, for the limit
-//     study).
+//     study). A Selector keeps the lookup tables selection builds over one
+//     candidate list, for callers that select from it at many budgets.
 //   - Variants / subsumption analysis (§4): smaller patterns that a
 //     selected CFU can also execute by feeding identity inputs.
 //   - BuildMultiFunction: merged multi-function CFUs via opcode-class

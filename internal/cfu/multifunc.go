@@ -105,7 +105,7 @@ func mergeWildcardPair(a, b *CFU, lib *hwlib.Library) *CFU {
 		return nil
 	}
 	m.Occurrences = append(append([]Occurrence(nil), a.Occurrences...), b.Occurrences...)
-	m.Value = estimateValue(m, nil)
+	m.Value = newOpSpace([]*CFU{m}).value(0)
 	return m
 }
 

@@ -92,13 +92,39 @@ type Selection struct {
 	Truncated bool
 }
 
-// Select spends the area budget on candidate CFUs.
+// Select spends the area budget on candidate CFUs. It is
+// NewSelector(cfus).Select(opts); callers that select from one list at
+// many budgets keep a Selector instead.
 //
-// Select lazily records subsumption and wildcard relationships on the
-// candidates it picks, so concurrent Select calls over the SAME candidate
-// slice must be serialized by the caller (experiment.Harness holds a
-// per-application lock). Distinct candidate lists are independent.
+// Selection still mutates the candidates: it records subsumption and
+// wildcard links (Subsumes, SubsumedBy, Wildcards) and generates Variants
+// on the CFUs it picks, and those links steer the discounts of later
+// rounds and later calls. So concurrent Select calls over the SAME
+// candidate list must be serialized by the caller (experiment.Harness
+// holds a per-application lock for this). Distinct candidate lists are
+// independent.
 func Select(cfus []*CFU, opts SelectOptions) *Selection {
+	return NewSelector(cfus).Select(opts)
+}
+
+// Selector is a candidate list prepared for selection at many budgets. The
+// lookup tables greedy selection needs — the dense op numbering, the
+// relationship buckets and the ID-to-position map — depend only on the
+// list, so the first Select builds them and later calls reuse them. Calls
+// on one Selector must be serialized, as for Select over one list.
+type Selector struct {
+	cfus   []*CFU
+	layout *opLayout
+	rel    *relationIndex
+	pos    map[int]int
+}
+
+// NewSelector wraps a candidate list; it builds nothing until the first
+// Select.
+func NewSelector(cfus []*CFU) *Selector { return &Selector{cfus: cfus} }
+
+// Select spends the area budget on the Selector's candidates; see Select.
+func (s *Selector) Select(opts SelectOptions) *Selection {
 	if opts.SubsumedDiscount == 0 {
 		opts.SubsumedDiscount = 0.05
 	}
@@ -111,29 +137,47 @@ func Select(cfus []*CFU, opts SelectOptions) *Selection {
 	defer opts.Telemetry.StartSpan("select")()
 	switch opts.Mode {
 	case Knapsack:
-		return selectKnapsack(cfus, opts)
+		return selectKnapsack(s.cfus, opts)
 	default:
-		return selectGreedy(cfus, opts)
+		return s.greedy(opts)
 	}
 }
 
-func selectGreedy(cfus []*CFU, opts SelectOptions) *Selection {
-	sel := &Selection{}
-	rel := newRelationIndex(cfus)
-	remaining := opts.Budget
-	claimed := make(map[opKey]bool)
-	picked := make(map[int]bool)
-	// costMul holds the current discount for shared hardware.
-	costMul := make(map[int]float64, len(cfus))
-	for _, c := range cfus {
-		costMul[c.ID] = 1.0
+func (s *Selector) greedy(opts SelectOptions) *Selection {
+	cfus := s.cfus
+	if s.layout == nil {
+		s.layout = newOpLayout(cfus)
+		s.rel = newRelationIndex(cfus)
+		// Relationship links carry IDs; pos maps them back to positions.
+		s.pos = make(map[int]int, len(cfus))
+		for i, c := range cfus {
+			s.pos[c.ID] = i
+		}
 	}
-	cost := func(c *CFU) float64 {
-		a := c.Area * costMul[c.ID]
+	sel := &Selection{}
+	space := s.layout.space()
+	rel := s.rel.fresh()
+	remaining := opts.Budget
+	// picked and costMul (the current discount for shared hardware) are
+	// indexed by candidate position.
+	picked := make([]bool, len(cfus))
+	costMul := make([]float64, len(cfus))
+	for i := range costMul {
+		costMul[i] = 1.0
+	}
+	cost := func(i int) float64 {
+		a := cfus[i].Area * costMul[i]
 		if a < 0.05 {
 			a = 0.05
 		}
 		return a
+	}
+	discount := func(ids []int, m float64) {
+		for _, id := range ids {
+			if j, ok := s.pos[id]; ok && m < costMul[j] {
+				costMul[j] = m
+			}
+		}
 	}
 	// Telemetry totals are accumulated locally and flushed once so the
 	// hot scoring loop stays lock-free.
@@ -144,16 +188,16 @@ func selectGreedy(cfus []*CFU, opts SelectOptions) *Selection {
 			break
 		}
 		rounds++
-		var best *CFU
+		best := -1
 		var bestScore float64
-		for _, c := range cfus {
-			if picked[c.ID] || cost(c) > remaining+1e-9 {
+		for i := range cfus {
+			if picked[i] || cost(i) > remaining+1e-9 {
 				continue
 			}
 			considered++
 			// The paper selects CFUs as if they had no subsumed subgraphs
 			// or wildcards: value counts only the CFU's own occurrences.
-			v := estimateValue(c, claimed)
+			v := space.value(i)
 			if v <= 0 {
 				continue
 			}
@@ -161,47 +205,33 @@ func selectGreedy(cfus []*CFU, opts SelectOptions) *Selection {
 			if opts.Mode == GreedyValue {
 				score = v
 			} else {
-				score = v / cost(c)
+				score = v / cost(i)
 			}
-			if best == nil || score > bestScore {
-				best, bestScore = c, score
+			if best < 0 || score > bestScore {
+				best, bestScore = i, score
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		picked[best.ID] = true
-		sel.CFUs = append(sel.CFUs, best)
+		c := cfus[best]
+		picked[best] = true
+		sel.CFUs = append(sel.CFUs, c)
 		sel.TotalArea += cost(best)
 		remaining -= cost(best)
 
 		// Claim the ops of the occurrences this CFU will cover, so other
 		// candidates stop counting them (Figure 4's update step).
-		used := make(map[opKey]bool)
-		occs := liveOccurrences(best, claimed, used)
-		for _, occ := range occs {
-			sel.EstimatedSavings += occ.Weight * best.SavedPerExec
-			for i := range occ.Set {
-				claimed[opKey{occ.Block, i}] = true
-			}
-		}
+		sel.EstimatedSavings = space.claim(best, sel.EstimatedSavings)
 
 		// Hardware sharing: subsumed CFUs and wildcard partners become
 		// nearly free once this unit exists. Relationship discovery is
 		// lazy — only selected CFUs pay for variant generation.
-		ensureVariants(best, opts.MaxVariants)
-		rel.subsumptionFor(best)
-		rel.wildcardsFor(best, opts.Lib)
-		for _, id := range best.Subsumes {
-			if m := opts.SubsumedDiscount; m < costMul[id] {
-				costMul[id] = m
-			}
-		}
-		for _, id := range best.Wildcards {
-			if m := opts.WildcardDiscount; m < costMul[id] {
-				costMul[id] = m
-			}
-		}
+		ensureVariants(c, opts.MaxVariants)
+		rel.subsumptionFor(c)
+		rel.wildcardsFor(c, opts.Lib)
+		discount(c.Subsumes, opts.SubsumedDiscount)
+		discount(c.Wildcards, opts.WildcardDiscount)
 	}
 	opts.Telemetry.Add("select.rounds", rounds)
 	opts.Telemetry.Add("select.considered", considered)
@@ -274,17 +304,11 @@ func selectKnapsack(cfus []*CFU, opts SelectOptions) *Selection {
 	opts.Telemetry.Add("select.considered", int64(n))
 	opts.Telemetry.Add("select.selected", int64(len(chosen)))
 	sel := &Selection{CFUs: chosen, Truncated: truncated}
-	claimed := make(map[opKey]bool)
-	for _, cf := range chosen {
+	space := newOpSpace(chosen)
+	for i, cf := range chosen {
 		ensureVariants(cf, opts.MaxVariants)
 		sel.TotalArea += cf.Area
-		used := make(map[opKey]bool)
-		for _, occ := range liveOccurrences(cf, claimed, used) {
-			sel.EstimatedSavings += occ.Weight * cf.SavedPerExec
-			for i := range occ.Set {
-				claimed[opKey{occ.Block, i}] = true
-			}
-		}
+		sel.EstimatedSavings = space.claim(i, sel.EstimatedSavings)
 	}
 	return sel
 }

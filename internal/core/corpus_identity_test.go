@@ -41,7 +41,7 @@ func renderResult(t *testing.T, r *Result) []byte {
 			c.ID, c.Shape.Signature(), c.Area, c.Latency, c.SavedPerExec, c.Value,
 			c.Subsumes, c.SubsumedBy, c.Wildcards, len(c.Occurrences))
 		for _, o := range c.Occurrences {
-			fmt.Fprintf(&buf, "  occ %s %v %b\n", o.Block.Name, o.Set.Sorted(), o.Weight)
+			fmt.Fprintf(&buf, "  occ %s %v %b\n", o.Block.Name, o.Ops, o.Weight)
 		}
 	}
 	return buf.Bytes()

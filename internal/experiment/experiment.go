@@ -91,8 +91,11 @@ type Harness struct {
 	cands    map[string]*memoCell[candSet]
 	mdess    map[mdesKey]*memoCell[*mdes.MDES]
 	selLocks map[string]*sync.Mutex
-	// jobNanos accumulates per-job wall time for the speedup report.
-	jobNanos atomic.Int64
+	// jobNanos accumulates the pool jobs' busy time (AggregateJobTime);
+	// waitNanos accumulates time any harness call spent blocked on a memo
+	// cell another goroutine was computing or on a selection lock.
+	jobNanos  atomic.Int64
+	waitNanos atomic.Int64
 	// tokens is the shared worker-token pool (lazily sized to workers()):
 	// sweep pool workers each hold one token while running, and exploration
 	// spawns extra per-block workers only against the leftover tokens, so
@@ -108,10 +111,12 @@ type mdesKey struct {
 	budget float64
 }
 
-// candSet is one benchmark's candidate pool plus whether an anytime budget
-// cut the exploration or combination short while building it.
+// candSet is one benchmark's candidate pool, the Selector every selection
+// over it shares, and whether an anytime budget cut the exploration or
+// combination short while building it.
 type candSet struct {
 	cfus      []*cfu.CFU
+	selector  *cfu.Selector
 	truncated bool
 }
 
@@ -129,7 +134,7 @@ func NewHarness() *Harness {
 
 // Benchmark returns (and caches) the named benchmark.
 func (h *Harness) Benchmark(name string) (*workloads.Benchmark, error) {
-	v, hit, err := memoize(&h.mu, h.benches, name, func() (*workloads.Benchmark, error) {
+	v, hit, err := memoize(&h.mu, h.benches, name, &h.waitNanos, func() (*workloads.Benchmark, error) {
 		if err := faultinject.Fire("benchmark", name); err != nil {
 			return nil, err
 		}
@@ -161,7 +166,7 @@ func (h *Harness) Candidates(name string) ([]*cfu.CFU, error) {
 
 // candidatesFull is Candidates plus the truncation tag of the pool.
 func (h *Harness) candidatesFull(name string) (candSet, error) {
-	v, hit, err := memoize(&h.mu, h.cands, name, func() (candSet, error) {
+	v, hit, err := memoize(&h.mu, h.cands, name, &h.waitNanos, func() (candSet, error) {
 		if err := faultinject.Fire("explore", name); err != nil {
 			return candSet{}, err
 		}
@@ -192,7 +197,7 @@ func (h *Harness) candidatesFull(name string) (candSet, error) {
 		h.exploreParallel(&cfg)
 		res := explore.Explore(b.Program, cfg)
 		cfus, ctrunc := cfu.CombinePartial(res, h.Lib, cfu.CombineOptions{Telemetry: h.Telemetry, Ctx: h.Ctx})
-		return candSet{cfus: cfus, truncated: res.Stats.Truncated || ctrunc}, nil
+		return candSet{cfus: cfus, selector: cfu.NewSelector(cfus), truncated: res.Stats.Truncated || ctrunc}, nil
 	})
 	h.Telemetry.AddHitMiss("memo.candidates", hit)
 	return v, err
@@ -205,7 +210,7 @@ func (h *Harness) candidatesFull(name string) (candSet, error) {
 // budget (harness deadline, candidate cap, context) cut exploration,
 // combination, or selection short.
 func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
-	v, hit, err := memoize(&h.mu, h.mdess, mdesKey{name, budget}, func() (*mdes.MDES, error) {
+	v, hit, err := memoize(&h.mu, h.mdess, mdesKey{name, budget}, &h.waitNanos, func() (*mdes.MDES, error) {
 		if err := faultinject.Fire("select", name); err != nil {
 			return nil, err
 		}
@@ -213,10 +218,9 @@ func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := h.selLock(name)
-		l.Lock()
-		sel := cfu.Select(cs.cfus, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Telemetry: h.Telemetry, Ctx: h.Ctx})
-		l.Unlock()
+		unlock := h.lockSel(name)
+		sel := cs.selector.Select(cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Telemetry: h.Telemetry, Ctx: h.Ctx})
+		unlock()
 		m := mdes.FromSelection(name, budget, sel)
 		m.Truncated = m.Truncated || cs.truncated
 		return m, nil
@@ -228,7 +232,6 @@ func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 // CompileOn compiles application app against the CFUs generated for
 // cfuSource at the given budget and returns the speedup report.
 func (h *Harness) CompileOn(app, cfuSource string, budget float64, opts compile.Options) (*compile.Report, error) {
-	defer h.noteJobTime(time.Now())
 	if err := faultinject.Fire("compile", app); err != nil {
 		return nil, err
 	}
@@ -306,26 +309,32 @@ type sweepPair struct {
 // on the worker pool, writing each speedup into its predetermined slot so
 // the curves come back in input order regardless of scheduling.
 //
+// Jobs are issued budget-major — job j is curve j mod len(pairs) at budget
+// j div len(pairs) — so concurrent workers start on distinct benchmarks
+// instead of queueing on one benchmark's compute-once candidates and its
+// selection lock while the others wait.
+//
 // Failures are isolated per curve: a benchmark whose pipeline errors (or
 // panics) marks only its own SweepResult.Err, every other curve completes
-// normally, and the returned error joins all job failures so the caller
-// can report each one and still render the healthy curves.
+// normally, and the returned error joins all job failures, curve by curve
+// in budget order, so the caller can report each one and still render the
+// healthy curves.
 func (h *Harness) sweepAll(pairs []sweepPair, budgets []float64) ([]*SweepResult, error) {
 	out := make([]*SweepResult, len(pairs))
 	for k, p := range pairs {
 		out[k] = &SweepResult{App: p.app, CFUSource: p.src, Points: make([]SweepPoint, len(budgets))}
 	}
-	nb := len(budgets)
+	np, nb := len(pairs), len(budgets)
 	if nb == 0 {
 		return out, nil
 	}
-	errs := h.parallelForAll(len(pairs)*nb,
+	errs := h.parallelForAll(np*nb,
 		func(j int) string {
-			p := pairs[j/nb]
-			return fmt.Sprintf("benchmark %q on %q at budget %g", p.app, p.src, budgets[j%nb])
+			p := pairs[j%np]
+			return fmt.Sprintf("benchmark %q on %q at budget %g", p.app, p.src, budgets[j/np])
 		},
 		func(j int) error {
-			k, bi := j/nb, j%nb
+			k, bi := j%np, j/np
 			rep, err := h.CompileOn(pairs[k].app, pairs[k].src, budgets[bi], compile.Options{})
 			if err != nil {
 				return fmt.Errorf("benchmark %s on %s at budget %g: %w",
@@ -336,9 +345,13 @@ func (h *Harness) sweepAll(pairs []sweepPair, budgets []float64) ([]*SweepResult
 		})
 	// Attribute failures and truncation to curves after the pool drains —
 	// jobs write only their own slot, so no concurrent flag updates.
+	byCurve := make([]error, len(errs))
 	for j, err := range errs {
-		if err != nil && out[j/nb].Err == nil {
-			out[j/nb].Err = err
+		byCurve[(j%np)*nb+j/np] = err
+	}
+	for i, err := range byCurve {
+		if err != nil && out[i/nb].Err == nil {
+			out[i/nb].Err = err
 		}
 	}
 	for _, r := range out {
@@ -349,7 +362,7 @@ func (h *Harness) sweepAll(pairs []sweepPair, budgets []float64) ([]*SweepResult
 			}
 		}
 	}
-	return out, errors.Join(errs...)
+	return out, errors.Join(byCurve...)
 }
 
 // Sweep compiles app against cfuSource's CFUs across the budgets. The
@@ -639,11 +652,10 @@ func (h *Harness) multiFuncMDES(source string, budget float64) (*mdes.MDES, int,
 	if err != nil {
 		return nil, 0, err
 	}
-	l := h.selLock(source)
-	l.Lock()
+	unlock := h.lockSel(source)
 	multi := cfu.BuildMultiFunction(cands, h.Lib, 0)
 	sel := cfu.Select(multi, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib})
-	l.Unlock()
+	unlock()
 	merged := 0
 	for _, c := range sel.CFUs {
 		for _, n := range c.Shape.Nodes {
@@ -676,7 +688,7 @@ func (h *Harness) MultiFunctionStudy(domain string, budget float64) ([]*MultiFun
 	out := make([]*MultiFunctionResult, len(apps)*len(apps))
 	err = h.parallelFor(len(out), func(j int) error {
 		src, app := apps[j/len(apps)], apps[j%len(apps)]
-		ms, _, err := memoize(&multiMu, multiCells, src, func() (multiSel, error) {
+		ms, _, err := memoize(&multiMu, multiCells, src, &h.waitNanos, func() (multiSel, error) {
 			m, merged, err := h.multiFuncMDES(src, budget)
 			return multiSel{m, merged}, err
 		})
@@ -814,7 +826,7 @@ type AblationPoint struct {
 // SelectionAblation compares the selection heuristics (§3.4): greedy
 // value/cost, greedy raw value, and the knapsack DP.
 func (h *Harness) SelectionAblation(app string, budgets []float64) ([]AblationPoint, error) {
-	cands, err := h.Candidates(app)
+	cs, err := h.candidatesFull(app)
 	if err != nil {
 		return nil, err
 	}
@@ -826,10 +838,9 @@ func (h *Harness) SelectionAblation(app string, budgets []float64) ([]AblationPo
 	out := make([]AblationPoint, len(modes)*len(budgets))
 	err = h.parallelFor(len(out), func(j int) error {
 		mode, budget := modes[j/len(budgets)], budgets[j%len(budgets)]
-		l := h.selLock(app)
-		l.Lock()
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: mode})
-		l.Unlock()
+		unlock := h.lockSel(app)
+		sel := cs.selector.Select(cfu.SelectOptions{Budget: budget, Mode: mode})
+		unlock()
 		m := mdes.FromSelection(app, budget, sel)
 		_, rep, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
 		if err != nil {

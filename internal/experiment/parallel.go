@@ -79,11 +79,14 @@ func (h *Harness) exploreParallel(cfg *explore.Config) {
 // even in serial mode, so callers always hold the partial results of the
 // jobs that succeeded.
 //
-// When telemetry is enabled the pool reports its own utilization: busy
-// time is the sum of per-job wall times, capacity is workers x the fan-out
-// interval's wall time, and busy/capacity is the fraction of worker-time
-// actually spent in jobs (the gap is memo-cache waits and scheduler
-// stalls — why -j 8 can achieve less than 8x).
+// The pool accounts for its jobs' time. Wait time is what jobs spent
+// blocked on a memo cell another goroutine was computing or on a
+// selection lock another job held (the harness's waitNanos over the
+// fan-out); busy time is the jobs' summed wall time less that wait.
+// AggregateJobTime accumulates busy time, and when telemetry is enabled
+// the pool also reports pool.busy_ns, pool.wait_ns and pool.capacity_ns
+// (workers x the fan-out's wall time), so busy/capacity is the fraction
+// of worker-time spent working — why -j 8 can achieve less than 8x.
 func (h *Harness) parallelFor(n int, fn func(i int) error) error {
 	return errors.Join(h.parallelForAll(n, nil, fn)...)
 }
@@ -105,26 +108,25 @@ func (h *Harness) parallelForAll(n int, jobName func(i int) string, fn func(i in
 	if nameOf == nil {
 		nameOf = func(i int) string { return fmt.Sprintf("job %d", i) }
 	}
+	var jobWall atomic.Int64
 	job := func(i int) (err error) {
 		defer recoverToError(i, nameOf(i), &err)
+		defer func(t0 time.Time) { jobWall.Add(int64(time.Since(t0))) }(time.Now())
 		return fn(i)
 	}
-	var poolStart time.Time
-	if tel.Enabled() {
-		poolStart = time.Now()
-		tel.Add("pool.jobs", int64(n))
-		tel.MaxGauge("pool.workers", float64(w))
-		inner := job
-		job = func(i int) error {
-			t0 := time.Now()
-			err := inner(i)
-			tel.Add("pool.busy_ns", int64(time.Since(t0)))
-			return err
-		}
-		defer func() {
+	poolStart, wait0 := time.Now(), h.waitNanos.Load()
+	defer func() {
+		wait := h.waitNanos.Load() - wait0
+		busy := jobWall.Load() - wait
+		h.jobNanos.Add(busy)
+		if tel.Enabled() {
+			tel.Add("pool.jobs", int64(n))
+			tel.MaxGauge("pool.workers", float64(w))
+			tel.Add("pool.busy_ns", busy)
+			tel.Add("pool.wait_ns", wait)
 			tel.Add("pool.capacity_ns", int64(w)*int64(time.Since(poolStart)))
-		}()
-	}
+		}
+	}()
 	errs := make([]error, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
@@ -176,6 +178,9 @@ func (h *Harness) parallelForAll(n int, jobName func(i int) string, fn func(i in
 // exactly once and every waiter gets the same value.
 type memoCell[V any] struct {
 	once sync.Once
+	// done is set once the computation has finished, so a caller that
+	// finds it clear knows it may block and times the wait.
+	done atomic.Bool
 	val  V
 	err  error
 }
@@ -184,7 +189,8 @@ type memoCell[V any] struct {
 // once across all goroutines. mu guards only the map lookup. The second
 // return reports whether the cell already existed (a cache hit — including
 // co-waiting on a computation another goroutine started, since the cache
-// still prevented a recompute).
+// still prevented a recompute). Time spent blocked on another
+// goroutine's computation of the cell is added to wait when it is non-nil.
 //
 // Two fault rules keep a bad computation from poisoning the cache:
 //
@@ -195,7 +201,7 @@ type memoCell[V any] struct {
 //     values are cached permanently and a later call retries the
 //     computation (transient failures heal; the concurrent co-waiters of
 //     the failed attempt all still see its error).
-func memoize[K comparable, V any](mu *sync.Mutex, m map[K]*memoCell[V], key K, f func() (V, error)) (V, bool, error) {
+func memoize[K comparable, V any](mu *sync.Mutex, m map[K]*memoCell[V], key K, wait *atomic.Int64, f func() (V, error)) (V, bool, error) {
 	mu.Lock()
 	c, hit := m[key]
 	if !hit {
@@ -203,10 +209,20 @@ func memoize[K comparable, V any](mu *sync.Mutex, m map[K]*memoCell[V], key K, f
 		m[key] = c
 	}
 	mu.Unlock()
+	var t0 time.Time
+	if !c.done.Load() {
+		t0 = time.Now()
+	}
+	computed := false
 	c.once.Do(func() {
+		computed = true
 		defer recoverToError(-1, fmt.Sprintf("memoized computation %v", key), &c.err)
 		c.val, c.err = f()
 	})
+	c.done.Store(true)
+	if !computed && !t0.IsZero() && wait != nil {
+		wait.Add(int64(time.Since(t0)))
+	}
 	if c.err != nil {
 		mu.Lock()
 		// Only evict our own cell: a retry may already have installed a
@@ -219,30 +235,33 @@ func memoize[K comparable, V any](mu *sync.Mutex, m map[K]*memoCell[V], key K, f
 	return c.val, hit, c.err
 }
 
-// selLock returns the per-application mutex serializing cfu.Select (and
+// lockSel takes the per-application mutex serializing cfu.Select (and
 // BuildMultiFunction) calls over that application's shared candidate
-// slice; selection lazily mutates the candidates it picks.
-func (h *Harness) selLock(app string) *sync.Mutex {
+// slice, which selection mutates, and returns its unlock. Time spent
+// waiting for another job to release it counts as wait time.
+func (h *Harness) lockSel(app string) (unlock func()) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	l, ok := h.selLocks[app]
 	if !ok {
 		l = &sync.Mutex{}
 		h.selLocks[app] = l
 	}
-	return l
+	h.mu.Unlock()
+	if !l.TryLock() {
+		t0 := time.Now()
+		l.Lock()
+		h.waitNanos.Add(int64(time.Since(t0)))
+	}
+	return l.Unlock
 }
 
-// noteJobTime accumulates the wall-clock time one compile job spent, for
-// the tools' parallel-speedup report.
-func (h *Harness) noteJobTime(start time.Time) {
-	h.jobNanos.Add(int64(time.Since(start)))
-}
-
-// AggregateJobTime returns the summed wall-clock duration of every
-// CompileOn job the harness has run. On a single worker it approximates
-// total elapsed time; with N workers elapsed time shrinks while this sum
-// stays put, so AggregateJobTime/elapsed estimates the parallel speedup.
+// AggregateJobTime returns the summed time the harness's worker-pool jobs
+// spent working: their wall time less the time they sat blocked on a memo
+// cell or selection lock held by another goroutine. AggregateJobTime over
+// a run's wall-clock time is the mean number of jobs doing work at once.
+// It is an upper bound on the parallel speedup, not a measurement of it:
+// two jobs sharing one core, or one waiting on the garbage collector,
+// both count as working.
 func (h *Harness) AggregateJobTime() time.Duration {
 	return time.Duration(h.jobNanos.Load())
 }

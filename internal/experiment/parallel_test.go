@@ -1,41 +1,65 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/compile"
+	"repro/internal/corpus"
+	"repro/internal/faultinject"
+	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
-// TestParallelDeterminism proves the tentpole guarantee: a full Figure 7
-// domain sweep fanned out over 8 workers merges into exactly the same
-// []*SweepResult — order and values — as the serial run, so reports and
-// golden figures can never drift with -j.
+// TestParallelDeterminism proves the tentpole guarantee: every domain's
+// Figure 7 sweep, fanned out over 2 or 8 workers in the interleaved job
+// order, merges into exactly the same []*SweepResult — order and values —
+// as the serial run, with and without a warm in-memory corpus, so reports
+// and golden figures can never drift with -j.
 func TestParallelDeterminism(t *testing.T) {
 	budgets := Budgets1to15()
 	if testing.Short() {
 		budgets = []float64{1, 4, 9, 15}
 	}
-
-	serial := NewHarness()
-	serial.Parallelism = 1
-	want, err := serial.Fig7Native("encryption", budgets)
+	sweep := func(t *testing.T, j int, store *corpus.Corpus) map[string][]*SweepResult {
+		t.Helper()
+		h := NewHarness()
+		h.Parallelism = j
+		h.Corpus = store
+		out := make(map[string][]*SweepResult)
+		for _, d := range workloads.DomainNames() {
+			rs, err := h.Fig7Native(d, budgets)
+			if err != nil {
+				t.Fatalf("-j %d %s: %v", j, d, err)
+			}
+			out[d] = rs
+		}
+		return out
+	}
+	want := sweep(t, 1, nil)
+	store, err := corpus.Open("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	parallel := NewHarness()
-	parallel.Parallelism = 8
-	got, err := parallel.Fig7Native("encryption", budgets)
-	if err != nil {
-		t.Fatal(err)
+	// The first corpus run fills the corpus; the later ones replay it.
+	for _, run := range []struct {
+		j     int
+		store *corpus.Corpus
+	}{{1, store}, {2, nil}, {8, nil}, {1, store}, {2, store}, {8, store}} {
+		got := sweep(t, run.j, run.store)
+		for _, d := range workloads.DomainNames() {
+			if !reflect.DeepEqual(want[d], got[d]) {
+				t.Fatalf("-j %d (corpus %v) %s sweep diverged from the serial baseline:\nserial:   %+v\nparallel: %+v",
+					run.j, run.store != nil, d, dump(want[d]), dump(got[d]))
+			}
+		}
 	}
-
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("parallel sweep diverged from serial baseline:\nserial:   %+v\nparallel: %+v",
-			dump(want), dump(got))
+	if st := store.Stats(); st.Hits == 0 {
+		t.Fatal("the warm runs never hit the corpus")
 	}
 }
 
@@ -124,9 +148,10 @@ func TestHarnessSharedRace(t *testing.T) {
 }
 
 // TestParallelErrorsJoinAll pins the error contract of the worker pool:
-// every failing job is reported (joined in index order), the text names
-// the failing benchmark, and serial and parallel runs produce the
-// identical joined error whatever the interleaving.
+// every failing job is reported (joined curve by curve, each in budget
+// order, although the sweep issues jobs budget-major), the text names the
+// failing benchmark, and serial and parallel runs produce the identical
+// joined error whatever the interleaving.
 func TestParallelErrorsJoinAll(t *testing.T) {
 	budgets := []float64{1, 2, 3, 4}
 	par := NewHarness()
@@ -147,5 +172,96 @@ func TestParallelErrorsJoinAll(t *testing.T) {
 	_, serr := ser.Sweep("bogus", "bogus", budgets)
 	if serr == nil || perr.Error() != serr.Error() {
 		t.Fatalf("parallel joined error differs from serial:\nparallel: %v\nserial:   %v", perr, serr)
+	}
+
+	// A failing benchmark in the middle of a domain: its jobs are spread
+	// across the interleaved schedule, but the join lists them in budget
+	// order and only its curve carries an Err, its first failure.
+	apps, err := domainApps(workloads.DomainAudio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := apps[len(apps)/2]
+	restore, err := faultinject.Enable("compile:" + mid + "=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	var joined []string
+	for _, j := range []int{1, 2, 8} {
+		h := NewHarness()
+		h.Parallelism = j
+		rs, err := h.Fig7Native(workloads.DomainAudio, budgets)
+		if err == nil {
+			t.Fatalf("-j %d: expected the injected failure", j)
+		}
+		var want []string
+		for _, b := range budgets {
+			want = append(want, fmt.Sprintf("benchmark %s on %s at budget %g: ", mid, mid, b))
+		}
+		lines := strings.Split(err.Error(), "\n")
+		if len(lines) != len(want) {
+			t.Fatalf("-j %d: joined %d errors, want %d:\n%v", j, len(lines), len(want), err)
+		}
+		for i, line := range lines {
+			if !strings.HasPrefix(line, want[i]) {
+				t.Fatalf("-j %d: joined error %d is %q, want prefix %q", j, i, line, want[i])
+			}
+		}
+		for _, r := range rs {
+			switch {
+			case r.App == mid && (r.Err == nil || !strings.HasPrefix(r.Err.Error(), want[0])):
+				t.Fatalf("-j %d: %s curve Err = %v, want its budget-%g failure", j, mid, r.Err, budgets[0])
+			case r.App != mid && r.Err != nil:
+				t.Fatalf("-j %d: healthy curve %s has Err %v", j, r.App, r.Err)
+			}
+		}
+		joined = append(joined, err.Error())
+	}
+	if joined[0] != joined[1] || joined[0] != joined[2] {
+		t.Fatalf("joined error depends on -j:\n%s", strings.Join(joined, "\n--\n"))
+	}
+}
+
+// TestPoolCountsMemoWaitSeparately makes two jobs contend on one memo
+// cell: job 1 asks for the value while job 0 is still computing it. The
+// time job 1 spends blocked must land in pool.wait_ns, not in
+// pool.busy_ns or AggregateJobTime.
+func TestPoolCountsMemoWaitSeparately(t *testing.T) {
+	const hold = 100 * time.Millisecond
+	h := NewHarness()
+	h.Parallelism = 2
+	h.Telemetry = telemetry.New("test")
+	var mu sync.Mutex
+	cells := make(map[string]*memoCell[int])
+	computing, asking := make(chan struct{}), make(chan struct{})
+	err := h.parallelFor(2, func(i int) error {
+		if i == 1 {
+			// Ask only once job 0 holds the cell; job 0 in turn keeps
+			// computing until job 1 is about to ask.
+			<-computing
+			close(asking)
+		}
+		_, _, err := memoize(&mu, cells, "k", &h.waitNanos, func() (int, error) {
+			close(computing)
+			<-asking
+			time.Sleep(hold)
+			return 1, nil
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.Telemetry.Snapshot().Counters
+	busy, wait, capacity := c["pool.busy_ns"], c["pool.wait_ns"], c["pool.capacity_ns"]
+	if wait < int64(hold/2) {
+		t.Fatalf("pool.wait_ns = %v, want about %v of blocked time", time.Duration(wait), hold)
+	}
+	if busy != int64(h.AggregateJobTime()) {
+		t.Fatalf("pool.busy_ns %v != AggregateJobTime %v", time.Duration(busy), h.AggregateJobTime())
+	}
+	if busy+wait > capacity {
+		t.Fatalf("busy %v + wait %v exceed capacity %v", time.Duration(busy), time.Duration(wait), time.Duration(capacity))
 	}
 }

@@ -227,14 +227,14 @@ func TestMemoizeRetriesAfterError(t *testing.T) {
 		}
 		return 42, nil
 	}
-	if _, _, err := memoize(&mu, m, "k", f); err == nil {
+	if _, _, err := memoize(&mu, m, "k", nil, f); err == nil {
 		t.Fatal("first call should fail")
 	}
-	v, _, err := memoize(&mu, m, "k", f)
+	v, _, err := memoize(&mu, m, "k", nil, f)
 	if err != nil || v != 42 {
 		t.Fatalf("retry after error got (%d, %v), want (42, nil)", v, err)
 	}
-	if _, hit, _ := memoize(&mu, m, "k", f); !hit || calls != 2 {
+	if _, hit, _ := memoize(&mu, m, "k", nil, f); !hit || calls != 2 {
 		t.Fatalf("successful value not cached: %d calls", calls)
 	}
 }
@@ -253,7 +253,7 @@ func TestMemoizeContainsPanic(t *testing.T) {
 		}
 		return 7, nil
 	}
-	_, _, err := memoize(&mu, m, "k", f)
+	_, _, err := memoize(&mu, m, "k", nil, f)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panic not contained: err=%v", err)
@@ -261,7 +261,7 @@ func TestMemoizeContainsPanic(t *testing.T) {
 	if pe.Value != "kaboom" || len(pe.Stack) == 0 {
 		t.Fatalf("contained panic lost its payload: %+v", pe)
 	}
-	v, _, err := memoize(&mu, m, "k", f)
+	v, _, err := memoize(&mu, m, "k", nil, f)
 	if err != nil || v != 7 {
 		t.Fatalf("retry after panic got (%d, %v), want (7, nil)", v, err)
 	}

@@ -54,15 +54,15 @@ func main() {
 	}
 	for _, want := range []string{
 		"memo.benchmark.miss", "memo.candidates.miss",
-		"pool.busy_ns", "pool.capacity_ns", "pool.jobs",
+		"pool.busy_ns", "pool.wait_ns", "pool.capacity_ns", "pool.jobs",
 	} {
 		if _, ok := s.Counters[want]; !ok {
 			log.Fatalf("trace is missing counter %q", want)
 		}
 	}
-	if s.Counters["pool.busy_ns"] > s.Counters["pool.capacity_ns"] {
-		log.Fatalf("pool busy %d exceeds capacity %d",
-			s.Counters["pool.busy_ns"], s.Counters["pool.capacity_ns"])
+	if busy, wait := s.Counters["pool.busy_ns"], s.Counters["pool.wait_ns"]; busy+wait > s.Counters["pool.capacity_ns"] {
+		log.Fatalf("pool busy %d plus wait %d exceeds capacity %d",
+			busy, wait, s.Counters["pool.capacity_ns"])
 	}
 	if _, ok := s.Gauges["pool.workers"]; !ok {
 		log.Fatal("trace is missing the pool.workers gauge")

@@ -248,7 +248,8 @@ func (r *Registry) WriteSummary(w io.Writer) {
 		}
 	}
 	if busy, cap := s.Counters["pool.busy_ns"], s.Counters["pool.capacity_ns"]; cap > 0 {
-		fmt.Fprintf(w, "  pool utilization: %.1f%% of %v worker-time\n",
-			100*float64(busy)/float64(cap), time.Duration(cap).Round(time.Millisecond))
+		fmt.Fprintf(w, "  pool utilization: %.1f%% of %v worker-time, %.1f%% blocked on shared work\n",
+			100*float64(busy)/float64(cap), time.Duration(cap).Round(time.Millisecond),
+			100*float64(s.Counters["pool.wait_ns"])/float64(cap))
 	}
 }

@@ -121,11 +121,12 @@ func TestSummaryRendersStagesAndUtilization(t *testing.T) {
 	r := New("t")
 	r.Span("explore", func() {})
 	r.Add("pool.busy_ns", 500)
+	r.Add("pool.wait_ns", 250)
 	r.Add("pool.capacity_ns", 1000)
 	var buf bytes.Buffer
 	r.WriteSummary(&buf)
 	out := buf.String()
-	for _, want := range []string{"telemetry: t", "explore", "pool.busy_ns", "pool utilization: 50.0%"} {
+	for _, want := range []string{"telemetry: t", "explore", "pool.busy_ns", "pool utilization: 50.0%", "25.0% blocked on shared work"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
