@@ -134,13 +134,8 @@ func main() {
 	}
 
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
+		if err := tel.WriteFile(*trace); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		f.Close()
 	}
 }

@@ -100,14 +100,7 @@ func main() {
 	// The trace dump and summary both stay off stdout, which must remain
 	// byte-identical with telemetry on or off.
 	if tel != nil {
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tel.WriteFile(*trace); err != nil {
 			log.Fatal(err)
 		}
 		tel.WriteSummary(os.Stderr)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/cfu"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/explore"
 	"repro/internal/hdl"
 	"repro/internal/hwlib"
 	"repro/internal/synth"
@@ -31,17 +30,14 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name; one of: "+fmt.Sprint(workloads.Names()))
 	asmPath := flag.String("asm", "", "read the program from an assembly file instead of -bench")
 	synthSpec := flag.String("synth", "", "generate a seeded synthetic program instead of -bench/-asm; colon-separated key=value spec (e.g. seed=3:blocks=8:ops=512), \"default\" for the defaults")
-	budget := flag.Float64("budget", 15, "CFU area budget in adder units")
-	mode := flag.String("mode", "greedy", "selection heuristic: greedy, value, or dp")
-	strategy := flag.String("strategy", "enumerate", "exploration strategy: "+fmt.Sprint(explore.Strategies()))
-	costModel := flag.String("cost", "area", "guide cost model: "+fmt.Sprint(explore.CostModels()))
-	seed := flag.Int64("seed", 0, "restart-schedule seed for -strategy improve (deterministic per value)")
+	var cfg core.Config
+	cfg.BindFlags(flag.CommandLine)
+	flag.Float64Var(&cfg.Budget, "budget", 15, "CFU area budget in adder units")
+	flag.TextVar(&cfg.SelectMode, "mode", cfu.GreedyRatio, "selection `heuristic`: greedy, value, or dp")
 	out := flag.String("o", "", "output MDES path (default stdout)")
-	maxIn := flag.Int("maxin", 5, "max CFU input ports")
-	maxOut := flag.Int("maxout", 3, "max CFU output ports")
-	jobs := flag.Int("j", 1, "worker goroutines for block-level exploration (output is identical at every setting)")
-	deadline := flag.Duration("deadline", 0, "exploration wall-clock budget (0 = none); on expiry the best-so-far candidates are selected and the MDES is tagged truncated")
-	maxCands := flag.Int("max-candidates", 0, "cap on candidate subgraphs recorded (0 = unlimited); hitting it tags the MDES truncated")
+	flag.IntVar(&cfg.Constraints.MaxInputs, "maxin", 5, "max CFU input ports")
+	flag.IntVar(&cfg.Constraints.MaxOutputs, "maxout", 3, "max CFU output ports")
+	flag.IntVar(&cfg.Workers, "j", 1, "worker goroutines for block-level exploration (output is identical at every setting)")
 	hwPath := flag.String("hwlib", "", "JSON hardware library, or the built-in name \"dsp16\" (16-bit-multiplier video calibration; default: the 0.18u calibration)")
 	dumpHW := flag.Bool("dumphwlib", false, "print the built-in hardware library as JSON and exit")
 	verilog := flag.String("verilog", "", "also emit the selected CFUs as Verilog to this path")
@@ -77,18 +73,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.Config{Budget: *budget, Strategy: *strategy, CostModel: *costModel, Seed: *seed}
-	if err := explore.ValidStrategy(*strategy); err != nil {
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := explore.ValidCostModel(*costModel); err != nil {
-		log.Fatal(err)
-	}
-	cfg.Constraints.MaxInputs = *maxIn
-	cfg.Constraints.MaxOutputs = *maxOut
-	cfg.ExploreDeadline = *deadline
-	cfg.MaxCandidates = *maxCands
-	cfg.Workers = *jobs
 	cfg.Telemetry = tel
 	cfg.Lib, err = hwlib.LoadOrDefault(openFile, *hwPath)
 	if err != nil {
@@ -102,17 +89,6 @@ func main() {
 		}
 		cfg.Corpus = store
 	}
-	switch *mode {
-	case "greedy":
-		cfg.SelectMode = cfu.GreedyRatio
-	case "value":
-		cfg.SelectMode = cfu.GreedyValue
-	case "dp":
-		cfg.SelectMode = cfu.Knapsack
-	default:
-		log.Fatalf("unknown selection mode %q", *mode)
-	}
-
 	m, err := core.GenerateMDES(b.Program, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -166,14 +142,7 @@ func main() {
 	// The trace dump and summary both stay off stdout, which must remain
 	// byte-identical with telemetry on or off.
 	if tel != nil {
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tel.WriteFile(*trace); err != nil {
 			log.Fatal(err)
 		}
 		tel.WriteSummary(os.Stderr)

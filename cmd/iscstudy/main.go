@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/experiment"
-	"repro/internal/explore"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -37,13 +36,10 @@ func main() {
 	unroll := flag.Bool("unroll", false, "loop-unrolling study")
 	memcfu := flag.Bool("memcfu", false, "relaxed-memory CFU study (paper's future work)")
 	shootout := flag.Bool("shootout", false, "strategy shootout: every exploration strategy on the 16 benchmarks plus the large unrolled and synthetic DFGs, quality vs wall-clock")
-	strategy := flag.String("strategy", "enumerate", "exploration strategy for the studies: "+fmt.Sprint(explore.Strategies()))
-	costModel := flag.String("cost", "area", "guide cost model: "+fmt.Sprint(explore.CostModels()))
-	seed := flag.Int64("seed", 0, "restart-schedule seed for -strategy improve (deterministic per value)")
+	h := experiment.NewHarness()
+	h.BindFlags(flag.CommandLine)
 	budget := flag.Float64("budget", 15, "cost point for the extension study")
-	deadline := flag.Duration("deadline", 0, "per-benchmark exploration wall-clock budget (0 = none); on expiry the best-so-far candidates are used")
-	maxCands := flag.Int("max-candidates", 0, "cap on candidate subgraphs recorded per benchmark (0 = unlimited)")
-	jobs := flag.Int("j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
+	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
 	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file; a per-stage summary goes to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	corpusDir := flag.String("corpus", "", "disk-backed exploration corpus directory: studies replay previously explored blocks across runs, with byte-identical output (\"\" = off)")
@@ -68,20 +64,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := explore.ValidStrategy(*strategy); err != nil {
+	if err := h.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := explore.ValidCostModel(*costModel); err != nil {
-		log.Fatal(err)
-	}
-	h := experiment.NewHarness()
-	h.Parallelism = *jobs
 	h.Telemetry = tel
-	h.ExploreDeadline = *deadline
-	h.MaxCandidates = *maxCands
-	h.Strategy = *strategy
-	h.CostModel = *costModel
-	h.Seed = *seed
 	var store *corpus.Corpus
 	if *corpusDir != "" || *corpusEntries > 0 {
 		c, err := corpus.Open(*corpusDir, *corpusEntries)
@@ -222,14 +208,7 @@ func main() {
 	// The trace dump and summary both stay off stdout, which must remain
 	// byte-identical with telemetry on or off.
 	if tel != nil {
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tel.WriteFile(*trace); err != nil {
 			log.Fatal(err)
 		}
 		tel.WriteSummary(os.Stderr)

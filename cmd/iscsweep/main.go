@@ -22,7 +22,6 @@ import (
 	"repro/internal/cfu"
 	"repro/internal/corpus"
 	"repro/internal/experiment"
-	"repro/internal/explore"
 	"repro/internal/hwlib"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -37,17 +36,14 @@ func main() {
 	domain := flag.String("domain", "", "restrict to one domain (encryption, network, audio, image, video)")
 	cross := flag.Bool("cross", false, "also produce the cross-compilation curves")
 	maxBudget := flag.Int("maxbudget", 15, "largest area budget in adders")
-	strategy := flag.String("strategy", "enumerate", "exploration strategy: "+fmt.Sprint(explore.Strategies()))
-	costModel := flag.String("cost", "area", "guide cost model: "+fmt.Sprint(explore.CostModels()))
-	seed := flag.Int64("seed", 0, "restart-schedule seed for -strategy improve (deterministic per value)")
+	h := experiment.NewHarness()
+	h.BindFlags(flag.CommandLine)
 	shootout := flag.Bool("shootout", false, "run the strategy comparison instead of the Figure 7 sweep: every strategy on the 16 benchmarks plus the large unrolled and synthetic DFGs, with quality-vs-wallclock columns")
 	synthSpec := flag.String("synth", "", "sweep one seeded synthetic program instead of the benchmark suite; colon-separated key=value spec (e.g. seed=3:blocks=8:ops=512), \"default\" for the defaults")
 	hwPath := flag.String("hwlib", "", "JSON hardware library, or the built-in name \"dsp16\" (16-bit-multiplier video calibration; default: the 0.18u calibration)")
-	mode := flag.String("mode", "greedy", "selection heuristic: greedy, value, or dp")
-	verify := flag.Bool("verify", false, "verify every compile in the functional simulator")
-	deadline := flag.Duration("deadline", 0, "per-benchmark exploration wall-clock budget (0 = none); on expiry the best-so-far candidates are used and curves are marked [truncated]")
-	maxCands := flag.Int("max-candidates", 0, "cap on candidate subgraphs recorded per benchmark (0 = unlimited); hitting it marks curves [truncated]")
-	jobs := flag.Int("j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
+	flag.TextVar(&h.SelectMode, "mode", cfu.GreedyRatio, "selection `heuristic`: greedy, value, or dp")
+	flag.BoolVar(&h.Verify, "verify", false, "verify every compile in the functional simulator")
+	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
 	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file; a per-stage summary goes to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	corpusDir := flag.String("corpus", "", "disk-backed exploration corpus directory: the sweep's repeated explorations of one benchmark at different budgets replay from it, with byte-identical output (\"\" = off)")
@@ -75,36 +71,15 @@ func main() {
 		domains = []string{*domain}
 	}
 
-	if err := explore.ValidStrategy(*strategy); err != nil {
+	if err := h.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if err := explore.ValidCostModel(*costModel); err != nil {
-		log.Fatal(err)
-	}
-	h := experiment.NewHarness()
 	lib, err := hwlib.LoadOrDefault(openFile, *hwPath)
 	if err != nil {
 		log.Fatal(err)
 	}
 	h.Lib = lib
-	switch *mode {
-	case "greedy":
-		h.SelectMode = cfu.GreedyRatio
-	case "value":
-		h.SelectMode = cfu.GreedyValue
-	case "dp":
-		h.SelectMode = cfu.Knapsack
-	default:
-		log.Fatalf("unknown selection mode %q", *mode)
-	}
-	h.Verify = *verify
-	h.Parallelism = *jobs
 	h.Telemetry = tel
-	h.ExploreDeadline = *deadline
-	h.MaxCandidates = *maxCands
-	h.Strategy = *strategy
-	h.CostModel = *costModel
-	h.Seed = *seed
 	// The sweep is the corpus's best case: every budget point re-explores
 	// the same program, so points 2..N replay point 1's blocks.
 	var store *corpus.Corpus
@@ -221,14 +196,7 @@ func main() {
 	// The trace dump and summary both stay off stdout, which must remain
 	// byte-identical with telemetry on or off.
 	if tel != nil {
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tel.WriteFile(*trace); err != nil {
 			log.Fatal(err)
 		}
 		tel.WriteSummary(os.Stderr)

@@ -2,6 +2,7 @@ package cfu
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -35,6 +36,33 @@ func (m SelectMode) String() string {
 		return "knapsack-dp"
 	}
 	return "unknown"
+}
+
+// selectModeNames are the modes' command-line and wire spellings.
+var selectModeNames = [...]string{GreedyRatio: "greedy", GreedyValue: "value", Knapsack: "dp"}
+
+// MarshalText renders the mode as "greedy", "value" or "dp".
+func (m SelectMode) MarshalText() ([]byte, error) {
+	if m < 0 || int(m) >= len(selectModeNames) {
+		return nil, fmt.Errorf("cfu: unknown select mode %d", int(m))
+	}
+	return []byte(selectModeNames[m]), nil
+}
+
+// UnmarshalText parses "greedy", "value" or "dp"; empty text means the
+// default, greedy.
+func (m *SelectMode) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*m = GreedyRatio
+		return nil
+	}
+	for i, name := range selectModeNames {
+		if string(text) == name {
+			*m = SelectMode(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown select mode %q (want greedy, value, or dp)", text)
 }
 
 // SelectOptions configures CFU selection.

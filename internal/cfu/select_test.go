@@ -123,3 +123,27 @@ func TestKnapsackUncappedVariantsExceedCap(t *testing.T) {
 		t.Fatalf("largest uncapped variant list is %d; the MaxVariants regression test needs > 1", max)
 	}
 }
+
+// TestSelectModeText pins the one spelling of the selection modes shared
+// by the CLI -mode flags and iscd's select_mode field.
+func TestSelectModeText(t *testing.T) {
+	for name, want := range map[string]SelectMode{"greedy": GreedyRatio, "value": GreedyValue, "dp": Knapsack, "": GreedyRatio} {
+		var m SelectMode
+		if err := m.UnmarshalText([]byte(name)); err != nil || m != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, m, err, want)
+		}
+		if name == "" {
+			continue
+		}
+		if b, err := want.MarshalText(); err != nil || string(b) != name {
+			t.Errorf("MarshalText(%v) = %q, %v; want %q", want, b, err, name)
+		}
+	}
+	var m SelectMode
+	if err := m.UnmarshalText([]byte("psychic")); err == nil {
+		t.Error("UnmarshalText accepted an unknown mode")
+	}
+	if _, err := SelectMode(7).MarshalText(); err == nil {
+		t.Error("MarshalText accepted an out-of-range mode")
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"time"
 
@@ -24,7 +25,8 @@ type Config struct {
 	Lib *hwlib.Library
 	// Machine is the baseline VLIW (nil = machine.Default4Wide()).
 	Machine *machine.Desc
-	// Constraints bound individual CFUs (zero = 5 inputs / 3 outputs).
+	// Constraints bound individual CFUs (a zero MaxInputs / MaxOutputs =
+	// 5 inputs / 3 outputs, each field defaulted on its own).
 	Constraints explore.Constraints
 	// Budget is the total CFU die area in adder units (0 = 15, the
 	// paper's largest sweep point).
@@ -96,20 +98,52 @@ type Config struct {
 	Spare *explore.Tokens
 }
 
-func (c Config) withDefaults() Config {
+// Normalize returns the configuration with each zero-valued default made
+// explicit, field by field: a partially set Constraints keeps the fields
+// it sets and takes the paper's value for the rest.
+func (c Config) Normalize() Config {
 	if c.Lib == nil {
 		c.Lib = hwlib.Default()
 	}
 	if c.Machine == nil {
 		c.Machine = machine.Default4Wide()
 	}
-	if c.Constraints == (explore.Constraints{}) {
-		c.Constraints = explore.DefaultConstraints()
+	def := explore.DefaultConstraints()
+	if c.Constraints.MaxInputs == 0 {
+		c.Constraints.MaxInputs = def.MaxInputs
+	}
+	if c.Constraints.MaxOutputs == 0 {
+		c.Constraints.MaxOutputs = def.MaxOutputs
 	}
 	if c.Budget == 0 {
 		c.Budget = 15
 	}
 	return c
+}
+
+// Validate rejects an unknown strategy, cost model or selection mode.
+func (c Config) Validate() error {
+	if err := explore.ValidStrategy(c.Strategy); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := explore.ValidCostModel(c.CostModel); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if _, err := c.SelectMode.MarshalText(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// BindFlags registers the pipeline knobs every command-line tool shares
+// (-strategy, -cost, -seed, -deadline, -max-candidates) on fs, writing
+// into c. Call Validate after fs.Parse.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Strategy, "strategy", explore.StrategyEnumerate, "exploration strategy: "+fmt.Sprint(explore.Strategies()))
+	fs.StringVar(&c.CostModel, "cost", explore.CostArea, "guide cost model: "+fmt.Sprint(explore.CostModels()))
+	fs.Int64Var(&c.Seed, "seed", 0, "restart-schedule seed for -strategy improve (deterministic per value)")
+	fs.DurationVar(&c.ExploreDeadline, "deadline", 0, "exploration wall-clock budget per program (0 = none); on expiry the best-so-far candidates are used and the results are tagged truncated")
+	fs.IntVar(&c.MaxCandidates, "max-candidates", 0, "cap on candidate subgraphs recorded per program (0 = unlimited); hitting it tags the results truncated")
 }
 
 // Result is the outcome of a full customization run.
@@ -135,42 +169,62 @@ type Result struct {
 // generation, and compilation of the application onto its own extended
 // machine.
 func Customize(p *ir.Program, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := ir.Validate(p); err != nil {
-		return nil, fmt.Errorf("core: input program: %w", err)
-	}
-	m, cands, estats, err := generate(p, cfg)
+	cfg, err := prepare(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out, rep, err := CompileWith(p, m, cfg)
+	cands, stats, truncated := Explore(p, cfg)
+	m := Select(p.Name, cfu.NewSelector(cands), truncated, cfg)
+	out, rep, err := Compile(p, m, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		MDES: m, Candidates: cands, Program: out, Report: rep,
-		CorpusHits: estats.CorpusHits, CorpusMisses: estats.CorpusMisses,
+		CorpusHits: stats.CorpusHits, CorpusMisses: stats.CorpusMisses,
 	}, nil
 }
 
 // GenerateMDES runs only the hardware compiler: profiled application in,
 // prioritized CFU machine description out.
 func GenerateMDES(p *ir.Program, cfg Config) (*mdes.MDES, error) {
-	cfg = cfg.withDefaults()
-	if err := ir.Validate(p); err != nil {
-		return nil, fmt.Errorf("core: input program: %w", err)
+	cfg, err := prepare(p, cfg)
+	if err != nil {
+		return nil, err
 	}
-	m, _, _, err := generate(p, cfg)
-	return m, err
+	cands, _, truncated := Explore(p, cfg)
+	return Select(p.Name, cfu.NewSelector(cands), truncated, cfg), nil
 }
 
-func generate(p *ir.Program, cfg Config) (*mdes.MDES, []*cfu.CFU, explore.Stats, error) {
-	if err := explore.ValidStrategy(cfg.Strategy); err != nil {
-		return nil, nil, explore.Stats{}, fmt.Errorf("core: %w", err)
+// CompileWith runs only the software compiler: application plus MDES in,
+// customized program and speedup report out.
+func CompileWith(p *ir.Program, m *mdes.MDES, cfg Config) (*ir.Program, *compile.Report, error) {
+	cfg, err := prepare(p, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := explore.ValidCostModel(cfg.CostModel); err != nil {
-		return nil, nil, explore.Stats{}, fmt.Errorf("core: %w", err)
+	return Compile(p, m, cfg)
+}
+
+// prepare normalizes and validates the configuration and validates the
+// input program: the checks every public entry point makes once before
+// running the stages.
+func prepare(p *ir.Program, cfg Config) (Config, error) {
+	cfg = cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
 	}
+	if err := ir.Validate(p); err != nil {
+		return cfg, fmt.Errorf("core: input program: %w", err)
+	}
+	return cfg, nil
+}
+
+// Explore runs the flow's discovery stages on p: dataflow-graph
+// exploration, then candidate combination, then the multi-function merge
+// when cfg.MultiFunction is set. truncated reports that an anytime budget
+// cut exploration or combination short. cfg must be normalized and valid.
+func Explore(p *ir.Program, cfg Config) (cands []*cfu.CFU, stats explore.Stats, truncated bool) {
 	ecfg := explore.DefaultConfig(cfg.Lib)
 	ecfg.Strategy = cfg.Strategy
 	ecfg.CostModel = cfg.CostModel
@@ -195,25 +249,29 @@ func generate(p *ir.Program, cfg Config) (*mdes.MDES, []*cfu.CFU, explore.Stats,
 	if cfg.MultiFunction {
 		cands = cfu.BuildMultiFunction(cands, cfg.Lib, 0)
 	}
-	sel := cfu.Select(cands, cfu.SelectOptions{
+	return cands, res.Stats, res.Stats.Truncated || ctrunc
+}
+
+// Select spends cfg.Budget on sel's candidates and returns the machine
+// description for the program named name. truncated marks the candidate
+// pool as cut short (see Explore); the MDES inherits the tag. Selection
+// mutates the candidates, so calls on one Selector must be serialized.
+func Select(name string, sel *cfu.Selector, truncated bool, cfg Config) *mdes.MDES {
+	m := mdes.FromSelection(name, cfg.Budget, sel.Select(cfu.SelectOptions{
 		Budget:    cfg.Budget,
 		Mode:      cfg.SelectMode,
 		Lib:       cfg.Lib,
 		Telemetry: cfg.Telemetry,
 		Ctx:       cfg.Ctx,
-	})
-	m := mdes.FromSelection(p.Name, cfg.Budget, sel)
-	m.Truncated = m.Truncated || res.Stats.Truncated || ctrunc
-	return m, cands, res.Stats, nil
+	}))
+	m.Truncated = m.Truncated || truncated
+	return m
 }
 
-// CompileWith runs only the software compiler: application plus MDES in,
-// customized program and speedup report out.
-func CompileWith(p *ir.Program, m *mdes.MDES, cfg Config) (*ir.Program, *compile.Report, error) {
-	cfg = cfg.withDefaults()
-	if err := ir.Validate(p); err != nil {
-		return nil, nil, fmt.Errorf("core: input program: %w", err)
-	}
+// Compile compiles p onto the machine m extends and, when cfg.Verify is
+// set, checks every transformed block against the original in the
+// functional simulator. cfg must be normalized.
+func Compile(p *ir.Program, m *mdes.MDES, cfg Config) (*ir.Program, *compile.Report, error) {
 	out, rep, err := compile.Compile(p, m, compile.Options{
 		Machine:          cfg.Machine,
 		Lib:              cfg.Lib,

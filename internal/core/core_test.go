@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cfu"
+	"repro/internal/explore"
 	"repro/internal/ir"
 	"repro/internal/workloads"
 )
@@ -102,7 +103,7 @@ func TestCustomizeRejectsInvalidProgram(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.Normalize()
 	if c.Lib == nil || c.Machine == nil || c.Budget != 15 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
@@ -111,5 +112,19 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.SelectMode != cfu.GreedyRatio {
 		t.Fatal("default mode must be greedy ratio")
+	}
+	// Defaults apply field by field: a partial port bound keeps what it
+	// sets and takes the paper's value for the rest.
+	c = Config{Constraints: explore.Constraints{MaxInputs: 4}}.Normalize()
+	if c.Constraints.MaxInputs != 4 || c.Constraints.MaxOutputs != 3 {
+		t.Fatalf("partial constraints normalized to %+v, want 4/3", c.Constraints)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("defaults do not validate: %v", err)
+	}
+	for _, bad := range []Config{{Strategy: "psychic"}, {CostModel: "psychic"}, {SelectMode: cfu.SelectMode(7)}} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // runs parallelize across a shared token pool and any subset can be
 // re-derived.
 //
-// Main entry points: NewHarness / Harness drive sweeps with shared
-// memoized per-benchmark caches, two-level -j parallelism, anytime budgets
+// Main entry points: NewHarness / Harness drive sweeps over core's
+// pipeline stages (Harness embeds core.Config) with shared memoized
+// per-benchmark caches, two-level -j parallelism, anytime budgets
 // (partial sweeps report best-so-far rows tagged truncated), and fault
 // isolation — a panicking job becomes a PanicError row instead of killing
 // the sweep. Budgets1to15 is the paper's area-budget axis. PanicError is

@@ -1,25 +1,21 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cfu"
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/hwlib"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/mdes"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -38,53 +34,18 @@ func Budgets1to15() []float64 {
 // goroutines, and the sweep/study harnesses fan their compile jobs out
 // over Parallelism workers while merging results in input order, so their
 // output is byte-identical to a serial run.
+//
+// The embedded Config configures every run, which goes through core's
+// pipeline stages; set it before the first run, since the memo caches key
+// on benchmark name and budget, not on the configuration. Each call names
+// its own budget, and Parallelism replaces Config.Workers and Config.Spare.
+// Config.Telemetry also receives the memo-cache hit/miss counters and the
+// worker-pool utilization.
 type Harness struct {
-	Lib     *hwlib.Library
-	Machine *machine.Desc
-	// Verify, when set, checks every compiled program against its source
-	// with the functional simulator and fails loudly on divergence.
-	Verify bool
-	// ExploreConfig overrides the default exploration (nil = default).
-	ExploreConfig *explore.Config
-	// SelectMode is the selection heuristic (default GreedyRatio).
-	SelectMode cfu.SelectMode
-	// Strategy picks the candidate-discovery algorithm for every
-	// exploration the harness runs ("" = explore.StrategyEnumerate); see
-	// explore.Strategies. Like every configuration field, set it before
-	// the first run — the memo caches do not key on it.
-	Strategy string
-	// CostModel picks the guide's pricing ("" = explore.CostArea); see
-	// explore.CostModels.
-	CostModel string
-	// Seed perturbs the improve strategy's restart schedule (deterministic
-	// per value); ignored by enumerate.
-	Seed int64
+	core.Config
 	// Parallelism bounds the number of concurrent compile jobs in the
 	// sweep and study harnesses (0 = runtime.GOMAXPROCS(0), 1 = serial).
-	// Set configuration fields before the first run: the memo caches key
-	// on benchmark name and budget, not on Lib/SelectMode/ExploreConfig.
 	Parallelism int
-	// Telemetry, when non-nil, receives per-stage spans, memo-cache
-	// hit/miss counters and worker-pool utilization from every harness
-	// run. All aggregates commute, so the recorded totals are identical
-	// at every Parallelism setting (timings aside). nil disables
-	// instrumentation at near-zero cost.
-	Telemetry *telemetry.Registry
-	// Ctx, when non-nil, cancels the hardware-compiler stages (explore,
-	// combine, select) cooperatively; results built after cancellation are
-	// tagged Truncated but remain valid (see explore.Config.Ctx).
-	Ctx context.Context
-	// ExploreDeadline bounds each benchmark's exploration wall-clock time
-	// (0 = none); expiry yields a Truncated, best-so-far candidate pool.
-	ExploreDeadline time.Duration
-	// MaxCandidates caps the candidates exploration records per benchmark
-	// (0 = unlimited); hitting the cap tags the results Truncated.
-	MaxCandidates int
-	// Corpus, when non-nil, memoizes per-block exploration results across
-	// harness runs and processes (see internal/corpus); warm runs select
-	// byte-identical results to cold ones. Like every configuration field,
-	// set it before the first run.
-	Corpus *corpus.Corpus
 
 	mu       sync.Mutex
 	benches  map[string]*memoCell[*workloads.Benchmark]
@@ -123,8 +84,7 @@ type candSet struct {
 // NewHarness returns a harness with the paper's defaults.
 func NewHarness() *Harness {
 	return &Harness{
-		Lib:      hwlib.Default(),
-		Machine:  machine.Default4Wide(),
+		Config:   core.Config{Lib: hwlib.Default(), Machine: machine.Default4Wide()},
 		benches:  make(map[string]*memoCell[*workloads.Benchmark]),
 		cands:    make(map[string]*memoCell[candSet]),
 		mdess:    make(map[mdesKey]*memoCell[*mdes.MDES]),
@@ -174,30 +134,12 @@ func (h *Harness) candidatesFull(name string) (candSet, error) {
 		if err != nil {
 			return candSet{}, err
 		}
-		cfg := explore.DefaultConfig(h.Lib)
-		if h.ExploreConfig != nil {
-			cfg = *h.ExploreConfig
+		cfg := h.config()
+		if err := cfg.Validate(); err != nil {
+			return candSet{}, err
 		}
-		cfg.Strategy = h.Strategy
-		cfg.CostModel = h.CostModel
-		cfg.Seed = h.Seed
-		cfg.Telemetry = h.Telemetry
-		if h.Ctx != nil {
-			cfg.Ctx = h.Ctx
-		}
-		if h.ExploreDeadline > 0 {
-			cfg.Deadline = h.ExploreDeadline
-		}
-		if h.MaxCandidates > 0 {
-			cfg.MaxCandidates = h.MaxCandidates
-		}
-		if h.Corpus != nil {
-			cfg.Corpus = h.Corpus
-		}
-		h.exploreParallel(&cfg)
-		res := explore.Explore(b.Program, cfg)
-		cfus, ctrunc := cfu.CombinePartial(res, h.Lib, cfu.CombineOptions{Telemetry: h.Telemetry, Ctx: h.Ctx})
-		return candSet{cfus: cfus, selector: cfu.NewSelector(cfus), truncated: res.Stats.Truncated || ctrunc}, nil
+		cfus, _, truncated := core.Explore(b.Program, cfg)
+		return candSet{cfus: cfus, selector: cfu.NewSelector(cfus), truncated: truncated}, nil
 	})
 	h.Telemetry.AddHitMiss("memo.candidates", hit)
 	return v, err
@@ -218,12 +160,11 @@ func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 		if err != nil {
 			return nil, err
 		}
+		cfg := h.config()
+		cfg.Budget = budget
 		unlock := h.lockSel(name)
-		sel := cs.selector.Select(cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Telemetry: h.Telemetry, Ctx: h.Ctx})
-		unlock()
-		m := mdes.FromSelection(name, budget, sel)
-		m.Truncated = m.Truncated || cs.truncated
-		return m, nil
+		defer unlock()
+		return core.Select(name, cs.selector, cs.truncated, cfg), nil
 	})
 	h.Telemetry.AddHitMiss("memo.mdesat", hit)
 	return v, err
@@ -231,7 +172,13 @@ func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 
 // CompileOn compiles application app against the CFUs generated for
 // cfuSource at the given budget and returns the speedup report.
-func (h *Harness) CompileOn(app, cfuSource string, budget float64, opts compile.Options) (*compile.Report, error) {
+func (h *Harness) CompileOn(app, cfuSource string, budget float64) (*compile.Report, error) {
+	return h.compileOn(app, cfuSource, budget, h.config())
+}
+
+// compileOn is CompileOn under cfg, a variant of h.config() (studies vary
+// its compiler knobs).
+func (h *Harness) compileOn(app, cfuSource string, budget float64, cfg core.Config) (*compile.Report, error) {
 	if err := faultinject.Fire("compile", app); err != nil {
 		return nil, err
 	}
@@ -243,31 +190,21 @@ func (h *Harness) CompileOn(app, cfuSource string, budget float64, opts compile.
 	if err != nil {
 		return nil, err
 	}
-	if opts.Machine == nil {
-		opts.Machine = h.Machine
-	}
-	if opts.Lib == nil {
-		opts.Lib = h.Lib
-	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = h.Telemetry
-	}
-	out, rep, err := compile.Compile(b.Program, m, opts)
+	_, rep, err := core.Compile(b.Program, m, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: compile %s on %s: %w", app, cfuSource, err)
-	}
-	if h.Verify {
-		endSim := h.Telemetry.StartSpan("sim.verify")
-		defer endSim()
-		for i := range b.Program.Blocks {
-			if err := sim.Equivalent(b.Program.Blocks[i], out.Blocks[i], 10, uint32(31*i+7)); err != nil {
-				return nil, fmt.Errorf("experiment: %s on %s, block %s: %w",
-					app, cfuSource, b.Program.Blocks[i].Name, err)
-			}
-			h.Telemetry.Add("sim.blocks.verified", 1)
-		}
+		return nil, fmt.Errorf("experiment: %s on %s: %w", app, cfuSource, err)
 	}
 	return rep, nil
+}
+
+// config returns the harness's normalized pipeline configuration, with
+// exploration drawing its extra block workers from the shared -j token
+// pool (see exploreParallel).
+func (h *Harness) config() core.Config {
+	cfg := h.Config.Normalize()
+	cfg.Workers = h.workers()
+	cfg.Spare = h.exploreTokens()
+	return cfg
 }
 
 // SweepPoint is one (budget, speedup) sample of a Figure 7 curve.
@@ -328,6 +265,7 @@ func (h *Harness) sweepAll(pairs []sweepPair, budgets []float64) ([]*SweepResult
 	if nb == 0 {
 		return out, nil
 	}
+	cfg := h.config()
 	errs := h.parallelForAll(np*nb,
 		func(j int) string {
 			p := pairs[j%np]
@@ -335,7 +273,7 @@ func (h *Harness) sweepAll(pairs []sweepPair, budgets []float64) ([]*SweepResult
 		},
 		func(j int) error {
 			k, bi := j%np, j/np
-			rep, err := h.CompileOn(pairs[k].app, pairs[k].src, budgets[bi], compile.Options{})
+			rep, err := h.compileOn(pairs[k].app, pairs[k].src, budgets[bi], cfg)
 			if err != nil {
 				return fmt.Errorf("benchmark %s on %s at budget %g: %w",
 					pairs[k].app, pairs[k].src, budgets[bi], err)
@@ -459,12 +397,12 @@ func (h *Harness) ExtensionStudy(domain string, budget float64) ([]*ExtensionRes
 	modes := [4]struct{ variants, classes bool }{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	}
+	base := h.config()
 	err = h.parallelFor(len(out)*len(modes), func(j int) error {
 		er, m := out[j/len(modes)], modes[j%len(modes)]
-		rep, err := h.CompileOn(er.App, er.CFUSource, budget, compile.Options{
-			UseVariants:      m.variants,
-			UseOpcodeClasses: m.classes,
-		})
+		cfg := base
+		cfg.UseVariants, cfg.UseOpcodeClasses = m.variants, m.classes
+		rep, err := h.compileOn(er.App, er.CFUSource, budget, cfg)
 		if err != nil {
 			return err
 		}
@@ -501,10 +439,11 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 	if apps == nil {
 		apps = workloads.Names()
 	}
+	cfg := h.config()
 	out := make([]*LimitResult, len(apps))
 	err := h.parallelFor(len(apps), func(i int) error {
 		app := apps[i]
-		rep15, err := h.CompileOn(app, app, 15, compile.Options{})
+		rep15, err := h.compileOn(app, app, 15, cfg)
 		if err != nil {
 			return err
 		}
@@ -535,9 +474,10 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 
 		// The unconstrained pool is local to this job, so no select lock.
 		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: 1e9, Mode: h.SelectMode, Lib: h.Lib})
-		m := mdes.FromSelection(app, 1e9, sel)
-		_, repInf, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
+		inf := cfg
+		inf.Budget = 1e9
+		m := core.Select(app, cfu.NewSelector(cands), false, inf)
+		_, repInf, err := core.Compile(b.Program, m, inf)
 		if err != nil {
 			return err
 		}
@@ -643,29 +583,30 @@ func (r *MultiFunctionResult) Label() string {
 	return r.App + "-" + r.CFUSource
 }
 
-// multiFuncMDES selects CFUs for source with merged multi-function
-// candidates admitted, returning the MDES and how many merged units made
-// the cut. Pairing and selection both mutate the shared candidate list,
-// so the whole computation runs under the source's select lock.
-func (h *Harness) multiFuncMDES(source string, budget float64) (*mdes.MDES, int, error) {
-	cands, err := h.Candidates(source)
+// multiFuncMDES selects CFUs for source under cfg with merged
+// multi-function candidates admitted, returning the MDES and how many
+// merged units made the cut. Pairing and selection both mutate the shared
+// candidate list, so the whole computation runs under the source's select
+// lock.
+func (h *Harness) multiFuncMDES(source string, cfg core.Config) (*mdes.MDES, int, error) {
+	cs, err := h.candidatesFull(source)
 	if err != nil {
 		return nil, 0, err
 	}
 	unlock := h.lockSel(source)
-	multi := cfu.BuildMultiFunction(cands, h.Lib, 0)
-	sel := cfu.Select(multi, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib})
+	multi := cfu.BuildMultiFunction(cs.cfus, cfg.Lib, 0)
+	m := core.Select(source, cfu.NewSelector(multi), cs.truncated, cfg)
 	unlock()
 	merged := 0
-	for _, c := range sel.CFUs {
-		for _, n := range c.Shape.Nodes {
+	for _, spec := range m.CFUs {
+		for _, n := range spec.Shape.Nodes {
 			if n.Class != 0 {
 				merged++
 				break
 			}
 		}
 	}
-	return mdes.FromSelection(source, budget, sel), merged, nil
+	return m, merged, nil
 }
 
 // MultiFunctionStudy measures multi-function CFU selection at one budget
@@ -685,11 +626,13 @@ func (h *Harness) MultiFunctionStudy(domain string, budget float64) ([]*MultiFun
 	}
 	var multiMu sync.Mutex
 	multiCells := make(map[string]*memoCell[multiSel])
+	cfg := h.config()
+	cfg.Budget = budget
 	out := make([]*MultiFunctionResult, len(apps)*len(apps))
 	err = h.parallelFor(len(out), func(j int) error {
 		src, app := apps[j/len(apps)], apps[j%len(apps)]
 		ms, _, err := memoize(&multiMu, multiCells, src, &h.waitNanos, func() (multiSel, error) {
-			m, merged, err := h.multiFuncMDES(src, budget)
+			m, merged, err := h.multiFuncMDES(src, cfg)
 			return multiSel{m, merged}, err
 		})
 		if err != nil {
@@ -700,13 +643,12 @@ func (h *Harness) MultiFunctionStudy(domain string, budget float64) ([]*MultiFun
 			return err
 		}
 		r := &MultiFunctionResult{App: app, CFUSource: src, MergedSelected: ms.merged}
-		repS, err := h.CompileOn(app, src, budget, compile.Options{})
+		repS, err := h.compileOn(app, src, budget, cfg)
 		if err != nil {
 			return err
 		}
 		r.Single = repS.Speedup
-		_, repM, err := compile.Compile(b.Program, ms.m,
-			compile.Options{Machine: h.Machine, Lib: h.Lib})
+		_, repM, err := core.Compile(b.Program, ms.m, cfg)
 		if err != nil {
 			return err
 		}
@@ -735,10 +677,14 @@ func (h *Harness) MemoryCFUStudy(apps []string, budget float64) ([]*MemoryCFURes
 	if apps == nil {
 		apps = workloads.Names()
 	}
-	memLib := hwlib.MemoryEnabled()
+	cfg := h.config()
+	mem := cfg
+	mem.Lib = hwlib.MemoryEnabled()
+	mem.Budget = budget
+	mem.Verify = true
 	var out []*MemoryCFUResult
 	for _, app := range apps {
-		base, err := h.CompileOn(app, app, budget, compile.Options{})
+		base, err := h.compileOn(app, app, budget, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -746,27 +692,20 @@ func (h *Harness) MemoryCFUStudy(apps []string, budget float64) ([]*MemoryCFURes
 		if err != nil {
 			return nil, err
 		}
-		cfg := explore.DefaultConfig(memLib)
-		h.exploreParallel(&cfg)
-		res := explore.Explore(b.Program, cfg)
-		cands := cfu.Combine(res, memLib, cfu.CombineOptions{})
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: memLib})
-		m := mdes.FromSelection(app, budget, sel)
+		ecfg := explore.DefaultConfig(mem.Lib)
+		h.exploreParallel(&ecfg)
+		res := explore.Explore(b.Program, ecfg)
+		cands := cfu.Combine(res, mem.Lib, cfu.CombineOptions{})
+		m := core.Select(app, cfu.NewSelector(cands), false, mem)
 		r := &MemoryCFUResult{App: app, NoMem: base.Speedup}
 		for _, spec := range m.CFUs {
 			if spec.Shape.UsesMemory() {
 				r.MemCFUs++
 			}
 		}
-		outP, rep, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: memLib})
+		_, rep, err := core.Compile(b.Program, m, mem)
 		if err != nil {
-			return nil, err
-		}
-		for i := range b.Program.Blocks {
-			if err := sim.Equivalent(b.Program.Blocks[i], outP.Blocks[i], 8, uint32(13*i+5)); err != nil {
-				return nil, fmt.Errorf("experiment: memcfu %s block %s: %w",
-					app, b.Program.Blocks[i].Name, err)
-			}
+			return nil, fmt.Errorf("experiment: memcfu %s: %w", app, err)
 		}
 		r.WithMem = rep.Speedup
 		out = append(out, r)
@@ -792,22 +731,17 @@ func (h *Harness) UnrollStudy(app string, factors []int, budget float64) ([]*Unr
 	if err != nil {
 		return nil, err
 	}
+	cfg := h.config()
+	cfg.Budget = budget
 	var out []*UnrollResult
 	for _, f := range factors {
 		up, err := ir.UnrollProgram(b.Program, f)
 		if err != nil {
 			return nil, err
 		}
-		cfg := explore.DefaultConfig(h.Lib)
-		if h.ExploreConfig != nil {
-			cfg = *h.ExploreConfig
-		}
-		h.exploreParallel(&cfg)
-		res := explore.Explore(up, cfg)
-		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib})
-		m := mdes.FromSelection(app, budget, sel)
-		_, rep, err := compile.Compile(up, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
+		cands, _, truncated := core.Explore(up, cfg)
+		m := core.Select(app, cfu.NewSelector(cands), truncated, cfg)
+		_, rep, err := core.Compile(up, m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -835,14 +769,16 @@ func (h *Harness) SelectionAblation(app string, budgets []float64) ([]AblationPo
 		return nil, err
 	}
 	modes := []cfu.SelectMode{cfu.GreedyRatio, cfu.GreedyValue, cfu.Knapsack}
+	base := h.config()
 	out := make([]AblationPoint, len(modes)*len(budgets))
 	err = h.parallelFor(len(out), func(j int) error {
 		mode, budget := modes[j/len(budgets)], budgets[j%len(budgets)]
+		cfg := base
+		cfg.SelectMode, cfg.Budget = mode, budget
 		unlock := h.lockSel(app)
-		sel := cs.selector.Select(cfu.SelectOptions{Budget: budget, Mode: mode})
+		m := core.Select(app, cs.selector, cs.truncated, cfg)
 		unlock()
-		m := mdes.FromSelection(app, budget, sel)
-		_, rep, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
+		_, rep, err := core.Compile(b.Program, m, cfg)
 		if err != nil {
 			return err
 		}
@@ -876,16 +812,17 @@ func (h *Harness) GuideWeightAblation(app string) ([]*GuideAblation, error) {
 		{Name: "latency-heavy", Weights: explore.GuideWeights{Criticality: 5, Latency: 25, Area: 5, IO: 5}},
 		{Name: "io-heavy", Weights: explore.GuideWeights{Criticality: 5, Latency: 5, Area: 5, IO: 25}},
 	}
+	cfg := h.config()
+	cfg.Budget = 15
 	for _, c := range cases {
-		cfg := explore.DefaultConfig(h.Lib)
-		cfg.Weights = c.Weights
-		h.exploreParallel(&cfg)
-		res := explore.Explore(b.Program, cfg)
+		ecfg := explore.DefaultConfig(h.Lib)
+		ecfg.Weights = c.Weights
+		h.exploreParallel(&ecfg)
+		res := explore.Explore(b.Program, ecfg)
 		c.Examined = res.Stats.Examined
 		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: 15, Mode: h.SelectMode})
-		m := mdes.FromSelection(app, 15, sel)
-		_, rep, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
+		m := core.Select(app, cfu.NewSelector(cands), false, cfg)
+		_, rep, err := core.Compile(b.Program, m, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/compile"
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
@@ -118,11 +117,11 @@ func TestHarnessSharedRace(t *testing.T) {
 			case 1:
 				_, errs[g] = h.MDESAt(app, budget)
 			case 2:
-				_, errs[g] = h.CompileOn(app, other, budget, compile.Options{})
+				_, errs[g] = h.CompileOn(app, other, budget)
 			default:
-				_, errs[g] = h.CompileOn(app, app, budget, compile.Options{
-					UseVariants: true, UseOpcodeClasses: true,
-				})
+				cfg := h.config()
+				cfg.UseVariants, cfg.UseOpcodeClasses = true, true
+				_, errs[g] = h.compileOn(app, app, budget, cfg)
 			}
 		}(g)
 	}

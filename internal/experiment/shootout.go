@@ -13,10 +13,9 @@ import (
 	"time"
 
 	"repro/internal/cfu"
-	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/ir"
-	"repro/internal/mdes"
 	"repro/internal/synth"
 	"repro/internal/workloads"
 )
@@ -72,8 +71,8 @@ func ShootoutInputs() ([]*ShootoutInput, error) {
 type ShootoutRow struct {
 	Input    string
 	Strategy string
-	// Wall is the exploration stage's wall-clock time (the stage the
-	// strategies differ in; combination/selection/compile are shared).
+	// Wall is the wall-clock time of candidate discovery (exploration, the
+	// stage the strategies differ in, plus combination of its candidates).
 	Wall time.Duration
 	// Examined counts subgraphs the strategy visited; Candidates is the
 	// recorded pool size after exploration.
@@ -83,7 +82,7 @@ type ShootoutRow struct {
 	// from compiling the input on its own selected CFUs.
 	Speedup float64
 	Savings float64
-	// Truncated reports the exploration hit an anytime budget.
+	// Truncated reports that candidate discovery hit an anytime budget.
 	Truncated bool
 }
 
@@ -97,31 +96,15 @@ func (h *Harness) StrategyShootout(inputs []*ShootoutInput, budget float64) ([]*
 	var out []*ShootoutRow
 	for _, in := range inputs {
 		for _, strat := range explore.Strategies() {
-			cfg := explore.DefaultConfig(h.Lib)
-			if h.ExploreConfig != nil {
-				cfg = *h.ExploreConfig
-			}
+			cfg := h.config()
 			cfg.Strategy = strat
-			cfg.CostModel = h.CostModel
-			cfg.Seed = h.Seed
-			cfg.Telemetry = h.Telemetry
-			if h.Ctx != nil {
-				cfg.Ctx = h.Ctx
-			}
-			if h.ExploreDeadline > 0 {
-				cfg.Deadline = h.ExploreDeadline
-			}
-			if h.MaxCandidates > 0 {
-				cfg.MaxCandidates = h.MaxCandidates
-			}
-			h.exploreParallel(&cfg)
+			cfg.Budget = budget
+			cfg.Corpus = nil // every exploration runs fresh
 			start := time.Now()
-			res := explore.Explore(in.Program, cfg)
+			cands, stats, truncated := core.Explore(in.Program, cfg)
 			wall := time.Since(start)
-			cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{Telemetry: h.Telemetry})
-			sel := cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib, Telemetry: h.Telemetry})
-			m := mdes.FromSelection(in.Name, budget, sel)
-			_, rep, err := compile.Compile(in.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib, Telemetry: h.Telemetry})
+			m := core.Select(in.Name, cfu.NewSelector(cands), truncated, cfg)
+			_, rep, err := core.Compile(in.Program, m, cfg)
 			if err != nil {
 				return out, fmt.Errorf("experiment: shootout %s/%s: %w", in.Name, strat, err)
 			}
@@ -129,11 +112,11 @@ func (h *Harness) StrategyShootout(inputs []*ShootoutInput, budget float64) ([]*
 				Input:      in.Name,
 				Strategy:   strat,
 				Wall:       wall,
-				Examined:   res.Stats.Examined,
-				Candidates: len(res.Candidates),
+				Examined:   stats.Examined,
+				Candidates: stats.Recorded,
 				Speedup:    rep.Speedup,
 				Savings:    rep.BaselineCycles - rep.CustomCycles,
-				Truncated:  res.Stats.Truncated,
+				Truncated:  truncated,
 			})
 		}
 	}

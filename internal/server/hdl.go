@@ -74,9 +74,11 @@ type HDLResponse struct {
 func requestFromQuery(q url.Values) (Request, error) {
 	var req Request
 	req.Benchmark = q.Get("benchmark")
-	req.SelectMode = q.Get("select_mode")
 	req.Strategy = q.Get("strategy")
 	req.CostModel = q.Get("cost_model")
+	if err := req.SelectMode.UnmarshalText([]byte(q.Get("select_mode"))); err != nil {
+		return req, err
+	}
 	var err error
 	number := func(key string, set func(float64)) {
 		if v := q.Get(key); v != "" && err == nil {

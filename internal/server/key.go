@@ -31,7 +31,7 @@ type Request struct {
 	MaxOutputs int `json:"max_outputs,omitempty"`
 	// SelectMode picks the selection heuristic: "greedy" (default),
 	// "value", or "dp".
-	SelectMode string `json:"select_mode,omitempty"`
+	SelectMode cfu.SelectMode `json:"select_mode,omitempty"`
 	// Strategy picks the candidate-discovery algorithm: "enumerate"
 	// (default) or "improve".
 	Strategy string `json:"strategy,omitempty"`
@@ -70,9 +70,6 @@ func (r Request) Normalized(defaultDeadline time.Duration) Request {
 	if r.MaxOutputs == 0 {
 		r.MaxOutputs = 3
 	}
-	if r.SelectMode == "" {
-		r.SelectMode = "greedy"
-	}
 	if r.Strategy == "" {
 		r.Strategy = explore.StrategyEnumerate
 	}
@@ -85,37 +82,13 @@ func (r Request) Normalized(defaultDeadline time.Duration) Request {
 	return r
 }
 
-// selectMode maps the wire name onto cfu.SelectMode, mirroring iscgen's
-// -mode flag.
-func (r Request) selectMode() (cfu.SelectMode, error) {
-	switch r.SelectMode {
-	case "greedy":
-		return cfu.GreedyRatio, nil
-	case "value":
-		return cfu.GreedyValue, nil
-	case "dp":
-		return cfu.Knapsack, nil
-	}
-	return 0, fmt.Errorf("unknown select_mode %q (want greedy, value, or dp)", r.SelectMode)
-}
-
 // ToConfig translates a normalized request into the pipeline configuration.
 // The caller supplies the execution-environment fields (Ctx, Workers,
 // Spare, Telemetry) — they are deliberately not part of the cache identity.
 func (r Request) ToConfig() (core.Config, error) {
-	mode, err := r.selectMode()
-	if err != nil {
-		return core.Config{}, err
-	}
-	if err := explore.ValidStrategy(r.Strategy); err != nil {
-		return core.Config{}, err
-	}
-	if err := explore.ValidCostModel(r.CostModel); err != nil {
-		return core.Config{}, err
-	}
 	cfg := core.Config{
 		Budget:           r.Budget,
-		SelectMode:       mode,
+		SelectMode:       r.SelectMode,
 		Strategy:         r.Strategy,
 		CostModel:        r.CostModel,
 		UseVariants:      r.UseVariants,
@@ -127,7 +100,7 @@ func (r Request) ToConfig() (core.Config, error) {
 	}
 	cfg.Constraints.MaxInputs = r.MaxInputs
 	cfg.Constraints.MaxOutputs = r.MaxOutputs
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // deadline resolves the request's pipeline deadline against the server
@@ -146,12 +119,16 @@ func (r Request) deadline(def time.Duration) time.Duration {
 // every configuration field that can change the response. The kind prefix
 // ("customize", "hdl") keeps different endpoints' results from aliasing in
 // the shared cache even though they hash the same request fields.
-// Requests with equal keys provably produce byte-identical responses,
-// which is what makes the cache sound.
+// The cache is sound only if equal keys give byte-identical responses, and
+// one known gap breaks that: the fingerprint ignores the order of pure ops
+// but the pipeline does not, so two spellings of a program that differ
+// only in that order share a key yet can produce different responses, and
+// the cache serves whichever spelling arrived first.
 func (r Request) cacheKey(kind string, p *ir.Program) string {
+	mode, _ := r.SelectMode.MarshalText() // validated by ToConfig
 	h := sha256.New()
 	fmt.Fprintf(h, "iscd/v1\nkind %s\nprogram %s\nbudget %g\nports %d/%d\nmode %s\n",
-		kind, ir.Fingerprint(p), r.Budget, r.MaxInputs, r.MaxOutputs, r.SelectMode)
+		kind, ir.Fingerprint(p), r.Budget, r.MaxInputs, r.MaxOutputs, mode)
 	fmt.Fprintf(h, "strategy %s cost_model %s\n", r.Strategy, r.CostModel)
 	fmt.Fprintf(h, "variants %t classes %t multi %t opt %t verify %t\n",
 		r.UseVariants, r.UseOpcodeClasses, r.MultiFunction, r.Optimize, r.Verify)

@@ -14,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 // newTestServer returns a server with its own registry, an httptest
@@ -350,6 +353,44 @@ func TestCustomizeFromIscasmProgram(t *testing.T) {
 	}
 	if out.Source != "wire" {
 		t.Errorf("source = %q, want wire", out.Source)
+	}
+}
+
+// A request that sets only one port bound takes the paper's default for
+// the other, in iscd and in core alike, so both produce the same MDES.
+func TestPartialPortBoundsMatchCore(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	resp, body := postCustomize(t, ts.URL, `{"benchmark":"sha","max_inputs":4}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out struct {
+		MDES json.RawMessage `json:"mdes"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	b, err := workloads.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.GenerateMDES(b.Program, core.Config{Constraints: explore.Constraints{MaxInputs: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.CFUs) == 0 {
+		t.Fatal("core selected no CFUs with only max_inputs set")
+	}
+	want, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, out.MDES); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("iscd and core disagree on the MDES for max_inputs=4:\n iscd %s\n core %s", got.Bytes(), want)
 	}
 }
 

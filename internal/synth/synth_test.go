@@ -47,10 +47,10 @@ func TestGeneratedProgramsValidateAcrossScales(t *testing.T) {
 	for _, text := range []string{
 		"",
 		"blocks=1:ops=1",
-		"seed=9:blocks=2:ops=700",           // ~10x the hand-lowered kernels
-		"seed=9:blocks=32:ops=512",          // ~100x
-		"blocks=4:ops=128:fanin=1",          // deepest chains
-		"blocks=4:ops=128:fanin=4096",       // widest dataflow
+		"seed=9:blocks=2:ops=700",               // ~10x the hand-lowered kernels
+		"seed=9:blocks=32:ops=512",              // ~100x
+		"blocks=4:ops=128:fanin=1",              // deepest chains
+		"blocks=4:ops=128:fanin=4096",           // widest dataflow
 		"alu=0:mul=0:shift=0:cmp=0:sel=1:mem=1", // degenerate mixes
 		"livein=16:liveout=16",
 		"liveout=0",

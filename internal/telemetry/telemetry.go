@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -11,21 +12,21 @@ import (
 
 // Registry collects telemetry for one tool run.
 type Registry struct {
-	tool    string
-	start   time.Time
-	cpu0    time.Duration
-	mu      sync.Mutex
+	tool     string
+	start    time.Time
+	cpu0     time.Duration
+	mu       sync.Mutex
 	spans    map[string]*spanAgg
 	counters map[string]int64
 	gauges   map[string]float64
 }
 
 type spanAgg struct {
-	count  int64
-	wall   time.Duration
-	cpu    time.Duration
-	min    time.Duration
-	max    time.Duration
+	count int64
+	wall  time.Duration
+	cpu   time.Duration
+	min   time.Duration
+	max   time.Duration
 }
 
 // New returns an enabled registry labeled with the tool name.
@@ -186,6 +187,19 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// WriteFile writes the WriteJSON dump to a new file at path.
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadJSON parses a trace dump written by WriteJSON.

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -104,16 +106,24 @@ func TestJSONRoundTrip(t *testing.T) {
 	r.Add("pool.capacity_ns", 1000)
 	r.SetGauge("pool.workers", 4)
 	r.Span("compile", func() {})
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ReadJSON(&buf)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := ReadJSON(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Tool != "iscsweep" || s.Counters["pool.busy_ns"] != 900 || len(s.Spans) != 1 {
 		t.Fatalf("round trip lost data: %+v", s)
+	}
+	if err := r.WriteFile(filepath.Join(path, "not-a-dir", "trace.json")); err == nil {
+		t.Error("WriteFile into a missing directory reported no error")
 	}
 }
 
