@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func FuzzParseRequest(f *testing.F) {
 		// Normalization must be idempotent: re-normalizing a normalized
 		// request cannot change it (the forwarded body is re-normalized by
 		// the replica).
-		if again := preq.Req.Normalized(time.Second); again != preq.Req {
+		if again := preq.Req.Normalized(time.Second); !reflect.DeepEqual(again, preq.Req) {
 			t.Fatalf("normalization not idempotent: %+v != %+v", again, preq.Req)
 		}
 		if _, err := ParseSLO(preq.Class.String()); err != nil {

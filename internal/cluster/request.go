@@ -100,7 +100,7 @@ func ParseRequest(body []byte, defaultDeadline time.Duration) (*ParsedRequest, i
 	if err != nil {
 		return nil, status, err
 	}
-	if _, err := inner.ToConfig(); err != nil {
+	if err := inner.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	return &ParsedRequest{

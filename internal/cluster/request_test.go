@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func TestParseSLO(t *testing.T) {
@@ -91,5 +94,22 @@ func TestParseSLOErrorNamesClasses(t *testing.T) {
 	_, err := ParseSLO("diamond")
 	if err == nil || !strings.Contains(err.Error(), "gold") {
 		t.Errorf("ParseSLO error %v does not name the accepted classes", err)
+	}
+}
+
+// The cluster envelope is an iscd request plus exactly one key, "slo"; the
+// server package pins the iscd request's own keys.
+func TestRequestAddsOnlySLO(t *testing.T) {
+	rt := reflect.TypeOf(Request{})
+	var own []string
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if f.Anonymous && f.Type == reflect.TypeOf(server.Request{}) && f.Tag == "" {
+			continue
+		}
+		own = append(own, string(f.Tag))
+	}
+	if len(own) != 1 || own[0] != `json:"slo,omitempty"` {
+		t.Errorf("cluster.Request adds %q beyond server.Request, want only slo", own)
 	}
 }

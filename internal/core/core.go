@@ -20,82 +20,90 @@ import (
 
 // Config parameterizes the end-to-end flow. The zero value uses the
 // paper's defaults everywhere.
+//
+// The JSON tags are iscd's wire format: a tagged field is a request knob,
+// and a field tagged "-" is fixed by the server (the library and machine,
+// the seed, the fanout policy) or belongs to the execution environment
+// (the corpus, telemetry, context, worker pool). Because the service's
+// cache key hashes this JSON form, every wire knob is part of the cache
+// identity by construction.
 type Config struct {
 	// Lib is the hardware library (nil = hwlib.Default()).
-	Lib *hwlib.Library
+	Lib *hwlib.Library `json:"-"`
 	// Machine is the baseline VLIW (nil = machine.Default4Wide()).
-	Machine *machine.Desc
+	Machine *machine.Desc `json:"-"`
 	// Constraints bound individual CFUs (a zero MaxInputs / MaxOutputs =
-	// 5 inputs / 3 outputs, each field defaulted on its own).
-	Constraints explore.Constraints
+	// 5 inputs / 3 outputs, each field defaulted on its own). Only the
+	// port bounds are on the wire.
+	explore.Constraints
 	// Budget is the total CFU die area in adder units (0 = 15, the
 	// paper's largest sweep point).
-	Budget float64
+	Budget float64 `json:"budget,omitempty"`
 	// SelectMode picks the selection heuristic (default greedy
 	// value/cost).
-	SelectMode cfu.SelectMode
+	SelectMode cfu.SelectMode `json:"select_mode,omitempty"`
 	// Strategy picks the candidate-discovery algorithm:
 	// explore.StrategyEnumerate (the default; "" means the same) or
 	// explore.StrategyImprove. Unknown names are rejected up front.
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 	// CostModel picks the guide's pricing: explore.CostArea (the default;
 	// "" means the same) or explore.CostUarch, the microarchitecture-aware
 	// mode that prices candidates by register-port fit and pipeline stages
 	// instead of die area.
-	CostModel string
+	CostModel string `json:"cost_model,omitempty"`
 	// Seed perturbs the improve strategy's restart schedule; runs are
 	// deterministic for any fixed value. Ignored by enumerate.
-	Seed int64
+	Seed int64 `json:"-"`
 	// UseVariants enables subsumed-subgraph matching in the compiler.
-	UseVariants bool
+	UseVariants bool `json:"use_variants,omitempty"`
 	// UseOpcodeClasses enables wildcard (opcode-class) matching.
-	UseOpcodeClasses bool
+	UseOpcodeClasses bool `json:"use_opcode_classes,omitempty"`
 	// MultiFunction adds merged multi-function CFUs (wildcard pairs
 	// generalized to opcode-class nodes) to the candidate pool before
 	// selection — the paper's proposed future work.
-	MultiFunction bool
+	MultiFunction bool `json:"multi_function,omitempty"`
 	// Optimize runs CSE and dead-code elimination before matching; see
 	// compile.Options.Optimize.
-	Optimize bool
+	Optimize bool `json:"optimize,omitempty"`
 	// Verify cross-checks every transformed block against the original in
 	// the functional simulator.
-	Verify bool
+	Verify bool `json:"verify,omitempty"`
 	// Fanout overrides the exploration fanout policy (nil = default).
-	Fanout explore.FanoutPolicy
+	Fanout explore.FanoutPolicy `json:"-"`
 	// FanoutDesc names a Fanout override for corpus keying (see
 	// explore.Config.FanoutDesc). Ignored when Fanout is nil; leaving it
 	// empty alongside a custom Fanout bypasses the corpus for safety.
-	FanoutDesc string
+	FanoutDesc string `json:"-"`
 	// Corpus, when non-nil, memoizes per-block exploration results across
 	// runs: repeated and overlapping workloads replay memoized candidates
 	// instead of re-searching, with selected results byte-identical to a
 	// cold run. Bypassed automatically when MaxCandidates is set.
-	Corpus *corpus.Corpus
+	Corpus *corpus.Corpus `json:"-"`
 	// Telemetry, when non-nil, receives per-stage spans and counters from
 	// every stage of the flow (explore, combine, select, compile, sim).
-	Telemetry *telemetry.Registry
+	Telemetry *telemetry.Registry `json:"-"`
 	// Ctx, when non-nil, cancels the hardware-compiler stages (explore,
 	// combine, select) cooperatively: each stage returns best-so-far
 	// results tagged Truncated instead of aborting. nil = background.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 	// ExploreDeadline bounds the exploration stage's wall-clock time (0 =
 	// none). Expiry yields a Truncated, best-so-far candidate pool.
-	ExploreDeadline time.Duration
+	ExploreDeadline time.Duration `json:"-"`
 	// MaxCandidates caps the candidates exploration records (0 =
 	// unlimited); hitting the cap tags the result Truncated.
-	MaxCandidates int
+	MaxCandidates int `json:"max_candidates,omitempty"`
 	// MaxExamined overrides the per-block subgraph-visit safety valve (0 =
 	// the explorer's default of 200000).
-	MaxExamined int
+	MaxExamined int `json:"-"`
 	// Workers bounds the goroutines exploring one program's blocks
 	// concurrently (0 or 1 = serial). Results are merged in block order,
 	// so output is identical at every setting; exploration falls back to
 	// serial while an anytime budget is active.
-	Workers int
+	Workers int `json:"-"`
 	// Spare, when non-nil, gates the extra block-exploration workers: each
 	// one must hold a token, so concurrent Customize calls sharing one pool
 	// split a single goroutine budget instead of multiplying Workers.
-	Spare *explore.Tokens
+	Spare *explore.Tokens `json:"-"`
 }
 
 // Normalize returns the configuration with each zero-valued default made
@@ -117,6 +125,12 @@ func (c Config) Normalize() Config {
 	}
 	if c.Budget == 0 {
 		c.Budget = 15
+	}
+	if c.Strategy == "" {
+		c.Strategy = explore.StrategyEnumerate
+	}
+	if c.CostModel == "" {
+		c.CostModel = explore.CostArea
 	}
 	return c
 }

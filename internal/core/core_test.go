@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cfu"
@@ -112,6 +113,12 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.SelectMode != cfu.GreedyRatio {
 		t.Fatal("default mode must be greedy ratio")
+	}
+	if c.Strategy != explore.StrategyEnumerate || c.CostModel != explore.CostArea {
+		t.Fatalf("strategy/cost model normalized to %q/%q, want enumerate/area", c.Strategy, c.CostModel)
+	}
+	if again := c.Normalize(); !reflect.DeepEqual(again, c) {
+		t.Fatalf("Normalize is not idempotent: %+v != %+v", again, c)
 	}
 	// Defaults apply field by field: a partial port bound keeps what it
 	// sets and takes the paper's value for the rest.

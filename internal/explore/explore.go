@@ -19,13 +19,13 @@ import (
 type Constraints struct {
 	// MaxInputs and MaxOutputs bound the register-file read and write
 	// ports. The paper's experiments use 5 and 3.
-	MaxInputs  int
-	MaxOutputs int
+	MaxInputs  int `json:"max_inputs,omitempty"`
+	MaxOutputs int `json:"max_outputs,omitempty"`
 	// MaxArea caps one CFU's die area in adder units (0 = unlimited).
-	MaxArea float64
+	MaxArea float64 `json:"-"`
 	// MaxOps caps the subgraph size (0 = unlimited). The limit study uses
 	// unlimited everything.
-	MaxOps int
+	MaxOps int `json:"-"`
 }
 
 // DefaultConstraints returns the paper's experimental limits.

@@ -16,12 +16,15 @@
 //
 // Main entry points: New builds a Server from a Config; Handler mounts the
 // API; Shutdown drains in-flight runs. Request/Response define the wire
-// format.
+// format: a Request is Benchmark, Program and DeadlineMS plus an embedded
+// core.Config, whose JSON tags name the pipeline knobs.
 //
 // Hot-path machinery, in request order: an LRU result cache keyed by a
-// canonical content hash of (program, config) — ir.Fingerprint makes the
-// key invariant under pure-op reordering, so a resubmitted program hits
-// even after cosmetic edits; singleflight coalescing so N concurrent
+// hash of the program's ir.Fingerprint, the deadline and the JSON form of
+// the normalized core.Config — the fingerprint makes the key invariant
+// under pure-op reordering, so a resubmitted program hits even after
+// cosmetic edits (the pipeline is not invariant under that reordering, a
+// known gap documented on cacheKey); singleflight coalescing so N concurrent
 // identical requests run the pipeline once and share one byte-identical
 // body; bounded admission against the shared explore.Tokens budget so the
 // service never oversubscribes cores no matter the request rate;

@@ -8,14 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cosim"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/hdl"
-	"repro/internal/hwlib"
 	"repro/internal/ir"
 )
 
@@ -69,46 +68,29 @@ type HDLResponse struct {
 	CFUs []HDLCFU `json:"cfus"`
 }
 
-// requestFromQuery builds a Request from GET query parameters, accepting
-// the same knobs as the POST body under the same names.
+// requestFromQuery builds a Request from GET query parameters by decoding
+// them exactly as the POST body is decoded: each non-empty parameter
+// becomes a member of a JSON object, taken verbatim when it is a JSON
+// number, true, false or null and as a string otherwise. An empty parameter
+// counts as absent, and a parameter given twice uses its first value.
 func requestFromQuery(q url.Values) (Request, error) {
+	obj := make(map[string]json.RawMessage, len(q))
+	for key := range q {
+		v := q.Get(key)
+		switch {
+		case v == "":
+		case json.Valid([]byte(v)) && !strings.ContainsAny(v[:1], `"{[`):
+			obj[key] = json.RawMessage(v)
+		default:
+			obj[key], _ = json.Marshal(v)
+		}
+	}
+	body, _ := json.Marshal(obj)
 	var req Request
-	req.Benchmark = q.Get("benchmark")
-	req.Strategy = q.Get("strategy")
-	req.CostModel = q.Get("cost_model")
-	if err := req.SelectMode.UnmarshalText([]byte(q.Get("select_mode"))); err != nil {
-		return req, err
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, fmt.Errorf("bad query: %v", err)
 	}
-	var err error
-	number := func(key string, set func(float64)) {
-		if v := q.Get(key); v != "" && err == nil {
-			f, perr := strconv.ParseFloat(v, 64)
-			if perr != nil {
-				err = fmt.Errorf("bad %s %q", key, v)
-				return
-			}
-			set(f)
-		}
-	}
-	boolean := func(key string, set func(bool)) {
-		if v := q.Get(key); v != "" && err == nil {
-			b, perr := strconv.ParseBool(v)
-			if perr != nil {
-				err = fmt.Errorf("bad %s %q", key, v)
-				return
-			}
-			set(b)
-		}
-	}
-	number("budget", func(f float64) { req.Budget = f })
-	number("max_inputs", func(f float64) { req.MaxInputs = int(f) })
-	number("max_outputs", func(f float64) { req.MaxOutputs = int(f) })
-	number("max_candidates", func(f float64) { req.MaxCandidates = int(f) })
-	boolean("use_variants", func(b bool) { req.UseVariants = b })
-	boolean("use_opcode_classes", func(b bool) { req.UseOpcodeClasses = b })
-	boolean("multi_function", func(b bool) { req.MultiFunction = b })
-	boolean("optimize", func(b bool) { req.Optimize = b })
-	return req, err
+	return req, nil
 }
 
 // handleHDL is GET/POST /v1/hdl: the customization pipeline's selection
@@ -153,7 +135,7 @@ func (s *Server) handleHDL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if _, err := req.ToConfig(); err != nil {
+	if err := req.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -179,7 +161,7 @@ func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, bod
 		}
 	}()
 	ctx := context.Background()
-	if d := req.deadline(s.cfg.DefaultDeadline); d > 0 {
+	if d := req.deadline(); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -187,12 +169,7 @@ func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, bod
 	if s.tokens.Acquire(ctx) {
 		defer s.tokens.Release()
 	}
-	cfg, err := req.ToConfig()
-	if err != nil {
-		return marshalError(http.StatusBadRequest, err)
-	}
-	lib := hwlib.Default()
-	cfg.Lib = lib
+	cfg := req.Config
 	cfg.Ctx = ctx
 	cfg.Workers = s.cfg.MaxConcurrent
 	cfg.Spare = s.tokens
@@ -220,7 +197,7 @@ func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, bod
 				info.Memory = true
 				continue
 			}
-			n, err := hdl.BuildNetlist(info.Module, shape, lib)
+			n, err := hdl.BuildNetlist(info.Module, shape, cfg.Lib)
 			if err != nil {
 				s.tel.Add("server.errors", 1)
 				return marshalError(http.StatusInternalServerError,
@@ -244,7 +221,7 @@ func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, bod
 	}
 
 	var verilog bytes.Buffer
-	if err := hdl.EmitMDES(&verilog, m, lib); err != nil {
+	if err := hdl.EmitMDES(&verilog, m, cfg.Lib); err != nil {
 		return marshalError(http.StatusInternalServerError, err)
 	}
 	resp.Verilog = verilog.String()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,6 +22,58 @@ func getHDL(t *testing.T, url, query string) (*http.Response, []byte) {
 		t.Fatalf("reading response: %v", err)
 	}
 	return resp, b
+}
+
+// GET /v1/hdl decodes its query exactly as POST decodes its body: for every
+// wire key, the query spelling and the JSON spelling of one value must give
+// the same Request, and a value POST rejects must be rejected as a query.
+func TestRequestFromQueryMatchesJSON(t *testing.T) {
+	prog := "program q\nblock hot weight 10\n%0 = add r1, r2 -> r3\n"
+	progJSON, _ := json.Marshal(prog)
+	cases := []struct{ key, query, json string }{
+		{"benchmark", "crc", `"crc"`},
+		{"program", prog, string(progJSON)},
+		{"budget", "7.5", `7.5`},
+		{"max_inputs", "4", `4`},
+		{"max_outputs", "2", `2`},
+		{"select_mode", "dp", `"dp"`},
+		{"strategy", "improve", `"improve"`},
+		{"cost_model", "uarch", `"uarch"`},
+		{"use_variants", "true", `true`},
+		{"use_opcode_classes", "true", `true`},
+		{"multi_function", "true", `true`},
+		{"optimize", "true", `true`},
+		{"verify", "true", `true`},
+		{"deadline_ms", "7", `7`},
+		{"max_candidates", "9", `9`},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.key] = true
+		got, err := requestFromQuery(url.Values{c.key: {c.query}})
+		if err != nil {
+			t.Errorf("%s=%s: %v", c.key, c.query, err)
+			continue
+		}
+		var want Request
+		if err := json.Unmarshal([]byte(`{"`+c.key+`":`+c.json+`}`), &want); err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s=%s decodes to %+v, POST to %+v", c.key, c.query, got, want)
+		}
+	}
+	for key := range wireFields(reflect.ValueOf(&Request{}).Elem()) {
+		if !covered[key] {
+			t.Errorf("wire key %s has no query case", key)
+		}
+	}
+	for _, bad := range []string{"max_inputs=4.7", "budget=lots", "select_mode=psychic", "verify=yes"} {
+		q, _ := url.ParseQuery(bad)
+		if _, err := requestFromQuery(q); err == nil {
+			t.Errorf("query %s decoded without error", bad)
+		}
+	}
 }
 
 // TestHDLEndpoint drives the happy path: a GET returns Verilog, an ISA

@@ -359,7 +359,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if _, err := req.ToConfig(); err != nil {
+	if err := req.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -483,7 +483,7 @@ func (s *Server) run(req Request, p *ir.Program, key string) (status int, body [
 	}()
 
 	ctx := context.Background()
-	if d := req.deadline(s.cfg.DefaultDeadline); d > 0 {
+	if d := req.deadline(); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -505,10 +505,7 @@ func (s *Server) run(req Request, p *ir.Program, key string) (status int, body [
 		defer s.tokens.Release()
 	}
 
-	cfg, err := req.ToConfig()
-	if err != nil {
-		return errReply(http.StatusBadRequest, err)
-	}
+	cfg := req.Config
 	cfg.Ctx = ctx
 	cfg.Workers = s.cfg.MaxConcurrent
 	cfg.Spare = s.tokens

@@ -339,7 +339,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestCustomizeFromIscasmProgram(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	prog := "program wire\nblock hot weight 1000\n%0 = and r1, #0xffff\n%1 = shl %0, #2\n%2 = add %1, r2 -> r3\n"
-	body, err := json.Marshal(Request{Program: prog, Budget: 5})
+	body, err := json.Marshal(Request{Program: prog, Config: core.Config{Budget: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
