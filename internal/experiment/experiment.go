@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -28,17 +29,25 @@ func Budgets1to15() []float64 {
 	return out
 }
 
-// Harness caches the expensive per-benchmark artifacts (exploration and
-// combination) so sweeps over budgets and cross-compiles reuse them. All
-// methods are safe for concurrent use: the caches are compute-once across
-// goroutines, and the sweep/study harnesses fan their compile jobs out
-// over Parallelism workers while merging results in input order, so their
-// output is byte-identical to a serial run.
+// Harness caches the expensive pipeline artifacts so sweeps over budgets
+// and cross-compiles reuse them. It keeps four compute-once memos: the
+// benchmarks, each benchmark's explored and combined candidates, each
+// (benchmark, budget) selection, and each compile. A compile is keyed on
+// what the compiler reads (the application, the MDES's source, truncation
+// tag and ordered CFU names, and the compiler knobs), not on the budget,
+// so budgets that select the same CFUs share one compile. Returned
+// reports are shared between callers and must be treated as read-only.
+//
+// All methods are safe for concurrent use: the caches are compute-once
+// across goroutines, and the sweep/study harnesses fan their compile jobs
+// out over Parallelism workers while merging results in input order, so
+// their output is byte-identical to a serial run.
 //
 // The embedded Config configures every run, which goes through core's
 // pipeline stages; set it before the first run, since the memo caches key
-// on benchmark name and budget, not on the configuration. Each call names
-// its own budget, and Parallelism replaces Config.Workers and Config.Spare.
+// on benchmark name and budget (and the compile memo on four compiler
+// knobs), not on the whole configuration. Each call names its own budget,
+// and Parallelism replaces Config.Workers and Config.Spare.
 // Config.Telemetry also receives the memo-cache hit/miss counters and the
 // worker-pool utilization.
 type Harness struct {
@@ -51,6 +60,7 @@ type Harness struct {
 	benches  map[string]*memoCell[*workloads.Benchmark]
 	cands    map[string]*memoCell[candSet]
 	mdess    map[mdesKey]*memoCell[*mdes.MDES]
+	compiles map[compileKey]*memoCell[*compile.Report]
 	selLocks map[string]*sync.Mutex
 	// jobNanos accumulates the pool jobs' busy time (AggregateJobTime);
 	// waitNanos accumulates time any harness call spent blocked on a memo
@@ -72,6 +82,35 @@ type mdesKey struct {
 	budget float64
 }
 
+// compileKey identifies one compile by everything compile.Compile reads
+// beyond the harness-wide Lib and Machine. A CFU name (cfu<ID><mnemonic>)
+// is unique within one source's compute-once candidate pool, and a
+// selected CFU's shape, variants and latency are fixed by then, so the
+// ordered names stand for the hardware. The budget, total area and value
+// estimates are not read by the compiler and stay out of the key.
+type compileKey struct {
+	app, source string
+	truncated   bool
+	// cfus is the MDES's CFU names in priority order, NUL-separated.
+	cfus                                string
+	variants, classes, optimize, verify bool
+}
+
+func newCompileKey(app string, m *mdes.MDES, cfg core.Config) compileKey {
+	var names strings.Builder
+	for i := range m.CFUs {
+		if i > 0 {
+			names.WriteByte(0)
+		}
+		names.WriteString(m.CFUs[i].Name)
+	}
+	return compileKey{
+		app: app, source: m.Source, truncated: m.Truncated, cfus: names.String(),
+		variants: cfg.UseVariants, classes: cfg.UseOpcodeClasses,
+		optimize: cfg.Optimize, verify: cfg.Verify,
+	}
+}
+
 // candSet is one benchmark's candidate pool, the Selector every selection
 // over it shares, and whether an anytime budget cut the exploration or
 // combination short while building it.
@@ -88,6 +127,7 @@ func NewHarness() *Harness {
 		benches:  make(map[string]*memoCell[*workloads.Benchmark]),
 		cands:    make(map[string]*memoCell[candSet]),
 		mdess:    make(map[mdesKey]*memoCell[*mdes.MDES]),
+		compiles: make(map[compileKey]*memoCell[*compile.Report]),
 		selLocks: make(map[string]*sync.Mutex),
 	}
 }
@@ -171,7 +211,8 @@ func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 }
 
 // CompileOn compiles application app against the CFUs generated for
-// cfuSource at the given budget and returns the speedup report.
+// cfuSource at the given budget and returns the speedup report. The
+// report is memoized and shared: callers must not modify it.
 func (h *Harness) CompileOn(app, cfuSource string, budget float64) (*compile.Report, error) {
 	return h.compileOn(app, cfuSource, budget, h.config())
 }
@@ -190,11 +231,17 @@ func (h *Harness) compileOn(app, cfuSource string, budget float64, cfg core.Conf
 	if err != nil {
 		return nil, err
 	}
-	_, rep, err := core.Compile(b.Program, m, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s on %s: %w", app, cfuSource, err)
-	}
-	return rep, nil
+	// Keep only the report: holding every compiled program for the life of
+	// the harness would raise a sweep's peak memory.
+	rep, hit, err := memoize(&h.mu, h.compiles, newCompileKey(app, m, cfg), &h.waitNanos, func() (*compile.Report, error) {
+		_, rep, err := core.Compile(b.Program, m, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %s on %s: %w", app, cfuSource, err)
+		}
+		return rep, nil
+	})
+	h.Telemetry.AddHitMiss("memo.compile", hit)
+	return rep, err
 }
 
 // config returns the harness's normalized pipeline configuration, with

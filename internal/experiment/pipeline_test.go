@@ -3,12 +3,16 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cfu"
 	"repro/internal/core"
 	"repro/internal/hwlib"
 	"repro/internal/ir"
+	"repro/internal/mdes"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -92,5 +96,115 @@ func TestHarnessMatchesCore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepCompilesEachSelectionOnce checks the compile memo against an
+// uncached oracle. A native sweep compiles each distinct (application,
+// ordered CFU list) once, however many budgets select that list, and every
+// point equals a fresh core.Compile of that budget's MDES. The MDES's
+// truncation tag and the compiler knobs are part of the memo key.
+func TestSweepCompilesEachSelectionOnce(t *testing.T) {
+	names := workloads.Names()
+	if testing.Short() {
+		names = []string{"rijndael", "sha", "url"}
+	}
+	budgets := Budgets1to15()
+	tel := telemetry.New("test")
+	h := NewHarness()
+	h.Telemetry = tel
+	h.Parallelism = 2
+	pairs := make([]sweepPair, len(names))
+	for i, name := range names {
+		pairs[i] = sweepPair{name, name}
+	}
+	res, err := h.sweepAll(pairs, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := tel.Snapshot().Counters
+	miss, hit := counters["memo.compile.miss"], counters["memo.compile.hit"]
+
+	cfg := core.Config{Lib: h.Lib, Machine: h.Machine}.Normalize()
+	distinct := make(map[string]bool)
+	for k, name := range names {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, budget := range budgets {
+			m, err := h.MDESAt(name, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := []string{name}
+			for _, spec := range m.CFUs {
+				sel = append(sel, spec.Name)
+			}
+			distinct[strings.Join(sel, "|")] = true
+			_, want, err := core.Compile(b.Program, m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res[k].Points[bi]; got.Speedup != want.Speedup || got.Truncated != want.Truncated {
+				t.Errorf("%s at budget %g: memoized point %+v, fresh compile speedup %v truncated %v",
+					name, budget, got, want.Speedup, want.Truncated)
+			}
+		}
+	}
+	if total := int64(len(names) * len(budgets)); miss != int64(len(distinct)) || hit != total-miss {
+		t.Errorf("memo.compile miss/hit = %d/%d, want %d/%d (one compile per distinct selection)",
+			miss, hit, len(distinct), total-int64(len(distinct)))
+	}
+
+	// The truncation tag is copied into the report, so an MDES that differs
+	// from a memoized one only in Truncated needs its own compile.
+	name := names[0]
+	m, err := h.MDESAt(name, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := *m
+	tm.Truncated = true
+	cell := &memoCell[*mdes.MDES]{val: &tm}
+	cell.once.Do(func() {})
+	h.mdess[mdesKey{name, -15}] = cell
+	rep, err := h.CompileOn(name, name, -15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Truncated {
+		t.Error("a truncated MDES reused the untruncated MDES's report")
+	}
+	if got := tel.Snapshot().Counters["memo.compile.miss"]; got != miss+1 {
+		t.Errorf("truncated MDES: memo.compile.miss = %d, want %d", got, miss+1)
+	}
+
+	// The extension study varies the compiler knobs: every (application,
+	// CFU source) pair compiles once per matching mode, and a repeat of the
+	// study compiles nothing.
+	tel = telemetry.New("test")
+	h = NewHarness()
+	h.Telemetry = tel
+	rows, err := h.ExtensionStudy(workloads.DomainVideo, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters = tel.Snapshot().Counters
+	if miss, hit := counters["memo.compile.miss"], counters["memo.compile.hit"]; miss != int64(4*len(rows)) || hit != 0 {
+		t.Fatalf("memo.compile miss/hit = %d/%d over %d pairs, want four misses per pair and no hits",
+			miss, hit, len(rows))
+	}
+	again, err := h.ExtensionStudy(workloads.DomainVideo, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Error("repeating the extension study changed its results")
+	}
+	counters = tel.Snapshot().Counters
+	if miss, hit := counters["memo.compile.miss"], counters["memo.compile.hit"]; miss != int64(4*len(rows)) || hit != int64(4*len(rows)) {
+		t.Errorf("after a repeat, memo.compile miss/hit = %d/%d, want %d/%d",
+			miss, hit, 4*len(rows), 4*len(rows))
 	}
 }

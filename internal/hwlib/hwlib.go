@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -80,8 +81,15 @@ func New(entries map[ir.Opcode]Entry, classes map[ir.Opcode]Class) *Library {
 }
 
 // Default returns the 0.18µ-calibrated library described in the package
-// comment.
+// comment. Each call returns a fresh copy of a table built once, so a
+// caller may adjust its copy without affecting anyone else's.
 func Default() *Library {
+	l := *defaultLib()
+	return &l
+}
+
+// defaultLib builds the Default table on first use.
+var defaultLib = sync.OnceValue(func() *Library {
 	e := map[ir.Opcode]Entry{
 		ir.Add: {Area: 1.00, Delay: 0.30, Allowed: true},
 		ir.Sub: {Area: 1.00, Delay: 0.30, Allowed: true},
@@ -153,7 +161,7 @@ func Default() *Library {
 		ir.Select: ClassSelect,
 	}
 	return New(e, cl)
-}
+})
 
 // MemoryEnabled returns the default library with load operations allowed
 // inside CFUs — the paper's proposed relaxation of the memory restriction.

@@ -112,3 +112,24 @@ func TestPaperAnecdoteANDplusSHL(t *testing.T) {
 		t.Fatalf("AND+SHL chain delay = %v, want <= 0.16 cycles", chain)
 	}
 }
+
+func TestDefaultReturnsIndependentCopies(t *testing.T) {
+	want := Default().Signature()
+	a := Default()
+	a.entries[ir.Add] = Entry{Area: 99, Delay: 9, Allowed: false}
+	a.classes[ir.Add] = ClassNone
+	// The derived libraries adjust their own copy of the default table.
+	if !MemoryEnabled().Allowed(ir.LoadW) || DSP16().Area(ir.Mul) != 4.5 {
+		t.Fatal("derived libraries lost their adjustments")
+	}
+	b := Default()
+	if b == a {
+		t.Fatal("Default returned the same library twice")
+	}
+	if got := b.Signature(); got != want {
+		t.Fatal("mutating one Default library changed the next one")
+	}
+	if b.Area(ir.Add) != 1.0 || b.ClassOf(ir.Add) != ClassAddSub || b.Allowed(ir.LoadW) || b.Area(ir.Mul) != 18.0 {
+		t.Fatal("Default table was modified through an earlier copy")
+	}
+}

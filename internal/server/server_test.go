@@ -213,7 +213,12 @@ func TestDeadlineReturnsTruncatedBestSoFar(t *testing.T) {
 
 func TestShutdownDrainsInflightRuns(t *testing.T) {
 	s, _, ts := newTestServer(t, Config{})
-	restore, err := faultinject.Enable("server:crc=slow:250ms")
+	// The injected delay keeps the request in flight across Shutdown. The
+	// pipeline run behind it uses ipchains, one of the cheapest benchmarks
+	// (tens of milliseconds even under the race detector), so the drain
+	// deadline below measures draining rather than how long a slow
+	// benchmark takes on a small or instrumented machine.
+	restore, err := faultinject.Enable("server:ipchains=slow:250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func TestShutdownDrainsInflightRuns(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/customize", "application/json",
-			strings.NewReader(`{"benchmark":"crc","budget":5}`))
+			strings.NewReader(`{"benchmark":"ipchains","budget":5}`))
 		if err != nil {
 			done <- result{0, err}
 			return

@@ -53,7 +53,7 @@ func main() {
 		}
 	}
 	for _, want := range []string{
-		"memo.benchmark.miss", "memo.candidates.miss",
+		"memo.benchmark.miss", "memo.candidates.miss", "memo.compile.miss",
 		"pool.busy_ns", "pool.wait_ns", "pool.capacity_ns", "pool.jobs",
 	} {
 		if _, ok := s.Counters[want]; !ok {
