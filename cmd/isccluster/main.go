@@ -1,5 +1,5 @@
 // Command isccluster fronts a fleet of iscd replicas: consistent-hash
-// routing on the canonical program fingerprint (so each replica's cache
+// routing on the exact program fingerprint (so each replica's cache
 // owns a shard of the keyspace), active health checking, per-replica
 // circuit breakers, retry-with-backoff failover, optional hedging, and
 // token-bucket admission control with SLO classes (gold/silver/bronze)

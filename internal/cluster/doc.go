@@ -19,10 +19,11 @@
 //     last. Shed responses are 503 + Retry-After.
 //   - Policy / Ring: pluggable replica-preference orders. The default
 //     fingerprint-affinity policy walks a consistent-hash ring keyed by
-//     ir.Fingerprint, so identical programs land on the same replica and
-//     the per-replica LRUs shard the result space instead of duplicating
-//     it; round-robin and least-loaded are alternatives for cache-cold
-//     fleets.
+//     ir.Fingerprint, the replicas' own exact program hash, so every
+//     request that can hit a replica's cache entry routes to that replica
+//     and the per-replica LRUs shard the result space instead of
+//     duplicating it; round-robin and least-loaded are alternatives for
+//     cache-cold fleets.
 //   - Replica / Breaker / health loop: every replica carries an active
 //     health state (healthy | degraded | down, plus draining) driven by
 //     periodic GET /healthz and passive per-request signals, and a

@@ -74,9 +74,9 @@ type ParsedRequest struct {
 	Class SLO
 	// Program is the resolved, validated input program.
 	Program *ir.Program
-	// Key is the routing key: the program's canonical content fingerprint,
-	// so identical programs hash to the same replica no matter how their
-	// text was spelled.
+	// Key is the routing key: the program's exact hash, ir.Fingerprint, the
+	// same program identity the replicas' cache keys use, so a benchmark
+	// name, its iscasm text and a renumbered copy route alike.
 	Key string
 }
 

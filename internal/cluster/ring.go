@@ -10,8 +10,9 @@ import (
 // Policy names accepted by ValidPolicy and Config.Policy.
 const (
 	// PolicyAffinity is consistent-hash routing on the program
-	// fingerprint: identical programs land on the same replica, so the
-	// per-replica LRU caches shard the result space. The default.
+	// fingerprint (ir.Fingerprint, the replicas' cache identity): requests
+	// for one program land on the same replica, so the per-replica LRU
+	// caches shard the result space. The default.
 	PolicyAffinity = "affinity"
 	// PolicyRoundRobin rotates through replicas regardless of key.
 	PolicyRoundRobin = "roundrobin"

@@ -22,8 +22,8 @@ func renderResult(t *testing.T, r *Result) []byte {
 		t.Fatal(err)
 	}
 	// The customized program contains CFU ops with no assembly spelling, so
-	// it is compared through its canonical content hash, which covers every
-	// op (custom included), operand, and live-out.
+	// it is compared through its exact content hash, which covers every op
+	// (custom included) in order, operand, and live-out.
 	buf.WriteString(ir.Fingerprint(r.Program))
 	buf.WriteByte('\n')
 	rep, err := json.Marshal(r.Report)

@@ -2,20 +2,17 @@ package corpus
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"sort"
 	"sync"
 
-	"repro/internal/ir"
 	"repro/internal/telemetry"
 )
 
 // Key identifies one memoized block exploration: the block's program-order
-// structure hash and the explorer's configuration signature. Both sides
-// are content hashes, so the key is stable across processes and machines.
+// structure hash (ir.BlockHash) and the explorer's configuration
+// signature. Both sides are content hashes, so the key is stable across
+// processes and machines.
 type Key struct {
 	Block  string
 	Config string
@@ -329,51 +326,4 @@ func (c *Corpus) Close() error {
 	err := c.disk.close()
 	c.disk = nil
 	return err
-}
-
-// BlockHash returns the program-order structure hash of b: opcodes,
-// operand wiring (producer indices, register names, immediates), live-out
-// destinations, custom-op identities, and the profile weight. Unlike
-// ir.Fingerprint it is deliberately order-sensitive — corpus entries
-// replay as op-index sets, so any reordering must produce a new key.
-func BlockHash(b *ir.Block) string {
-	pos := make(map[*ir.Op]int, len(b.Ops))
-	for i, op := range b.Ops {
-		pos[op] = i
-	}
-	buf := make([]byte, 0, 32*len(b.Ops)+16)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Weight))
-	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
-	for _, op := range b.Ops {
-		buf = binary.AppendUvarint(buf, uint64(op.Code))
-		if op.Custom != nil {
-			buf = append(buf, 0x01)
-			buf = binary.AppendUvarint(buf, uint64(len(op.Custom.Name)))
-			buf = append(buf, op.Custom.Name...)
-			buf = binary.AppendVarint(buf, int64(op.Custom.Latency))
-			buf = binary.AppendVarint(buf, int64(op.Custom.NumOut))
-		} else {
-			buf = append(buf, 0x00)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(op.Args)))
-		for _, a := range op.Args {
-			buf = append(buf, byte(a.Kind))
-			switch a.Kind {
-			case ir.FromOp:
-				buf = binary.AppendVarint(buf, int64(pos[a.X]))
-				buf = binary.AppendVarint(buf, int64(a.Idx))
-			case ir.FromReg:
-				buf = binary.AppendUvarint(buf, uint64(a.Reg))
-			case ir.Imm:
-				buf = binary.LittleEndian.AppendUint32(buf, a.Val)
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(op.Dest))
-		buf = binary.AppendUvarint(buf, uint64(len(op.Dests)))
-		for _, r := range op.Dests {
-			buf = binary.AppendUvarint(buf, uint64(r))
-		}
-	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
 }

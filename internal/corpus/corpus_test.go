@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/ir"
 )
 
 func testEntry(members []int, area, lat float64) *Entry {
@@ -255,34 +254,5 @@ func TestCorpusFaultInjection(t *testing.T) {
 	c2.Insert(key(2), testEntry([]int{2, 3}, 3.0, 0.5))
 	if s := c2.Stats(); s.Segments != 1 {
 		t.Fatalf("segments = %d after recovered append, want 1", s.Segments)
-	}
-}
-
-func TestBlockHashOrderAndWeightSensitive(t *testing.T) {
-	build := func(swap bool, weight float64) *ir.Block {
-		p := ir.NewProgram("x")
-		b := p.AddBlock("hot", weight)
-		if swap {
-			y := b.Mul(b.Arg(ir.R(3)), b.Arg(ir.R(4)))
-			x := b.Add(b.Arg(ir.R(1)), b.Arg(ir.R(2)))
-			b.Def(ir.R(8), x)
-			b.Def(ir.R(9), y)
-		} else {
-			x := b.Add(b.Arg(ir.R(1)), b.Arg(ir.R(2)))
-			y := b.Mul(b.Arg(ir.R(3)), b.Arg(ir.R(4)))
-			b.Def(ir.R(8), x)
-			b.Def(ir.R(9), y)
-		}
-		return b
-	}
-	base := BlockHash(build(false, 100))
-	if got := BlockHash(build(false, 100)); got != base {
-		t.Fatal("BlockHash not deterministic")
-	}
-	if got := BlockHash(build(true, 100)); got == base {
-		t.Fatal("BlockHash ignored op order; replay indices would be wrong")
-	}
-	if got := BlockHash(build(false, 200)); got == base {
-		t.Fatal("BlockHash ignored profile weight; weight-scaled fanout would alias")
 	}
 }

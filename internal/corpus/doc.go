@@ -10,11 +10,12 @@
 // same. The corpus therefore keys one entry per (block, configuration)
 // pair:
 //
-//   - the block side of the key is BlockHash, a SHA-256 over the block's
-//     ops in program order — opcodes, operand wiring, live-out registers,
-//     and the profile weight. Program order matters: entries replay as
-//     op-index sets, so two isomorphic but differently-ordered blocks must
-//     not share an entry.
+//   - the block side of the key is ir.BlockHash, a SHA-256 over the
+//     block's ops in program order — opcodes, operand wiring, live-out
+//     registers, and the profile weight — the block encoding the program
+//     hash ir.Fingerprint is built on. Program order matters: entries replay
+//     as op-index sets, so two isomorphic but differently-ordered blocks
+//     must not share an entry.
 //   - the configuration side is supplied by the explorer: a hash over
 //     every knob that can change the candidate list (strategy, cost model,
 //     seed, guide weights, thresholds, constraints, fanout descriptor, and

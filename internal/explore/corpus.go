@@ -94,7 +94,7 @@ func exploreBlockMemo(strat Strategy, b *ir.Block, cfg Config, res *Result, bud 
 		strat.exploreBlock(b, cfg, res, bud)
 		return
 	}
-	key := corpus.Key{Block: corpus.BlockHash(b), Config: sig}
+	key := corpus.Key{Block: ir.BlockHash(b), Config: sig}
 	if e, ok := cfg.Corpus.Lookup(key); ok && replayEntry(b, e, res) {
 		res.Stats.CorpusHits++
 		return

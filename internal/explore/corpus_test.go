@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/hwlib"
+	"repro/internal/ir"
 	"repro/internal/workloads"
 )
 
@@ -120,7 +121,7 @@ func TestCorpusReplayRejectsForeignEntry(t *testing.T) {
 	// Plant a poisoned entry under the exact key the explorer will derive.
 	sig := cfg.corpusConfigSig()
 	blk := b.Program.Blocks[0]
-	c.Insert(corpus.Key{Block: corpus.BlockHash(blk), Config: sig}, &corpus.Entry{
+	c.Insert(corpus.Key{Block: ir.BlockHash(blk), Config: sig}, &corpus.Entry{
 		Candidates: []corpus.Candidate{{Members: []int{len(blk.Ops) + 7}, Inputs: 1, Outputs: 1}},
 	})
 	res := Explore(b.Program, cfg)

@@ -6,86 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"slices"
-	"strings"
-	"sync"
 )
-
-// Fingerprint returns a canonical content hash of the program: a hex
-// SHA-256 string that identifies the program's semantics rather than its
-// spelling. Two programs whose blocks list the same dataflow graph in
-// different topological orders (pure operations permuted, op IDs
-// renumbered) fingerprint identically, while any semantic change — an
-// opcode, operand, immediate, live-out register, block name, profile
-// weight, or successor edge — produces a different hash. Operations with
-// ordered side effects (loads, stores, branches, memory-bearing custom
-// instructions) additionally carry their relative program order, so
-// reordering them changes the fingerprint even when the dataflow looks
-// unchanged.
-//
-// The hash is the cache identity used by the customization service
-// (internal/server): a conservative key, in that a false difference only
-// costs a cache miss while equal keys always denote semantically equal
-// programs.
-func Fingerprint(p *Program) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "program %q blocks %d\n", p.Name, len(p.Blocks))
-	st := fpPool.Get().(*fpState)
-	for _, b := range p.Blocks {
-		st.blockFingerprint(h, b)
-	}
-	fpPool.Put(st)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fpState is the reusable scratch of one fingerprint computation: a byte
-// buffer the per-op records are serialized into, the per-op 32-byte sums,
-// and the memo/ordinal maps. Pooling it makes Fingerprint allocation-light
-// on the service hot path, where every request is fingerprinted before the
-// cache lookup.
-type fpState struct {
-	buf  []byte
-	sums [][32]byte
-	memo map[*Op][32]byte
-	ords map[*Op]int
-}
-
-var fpPool = sync.Pool{New: func() any {
-	return &fpState{memo: make(map[*Op][32]byte), ords: make(map[*Op]int)}
-}}
-
-func (st *fpState) reset() {
-	st.buf = st.buf[:0]
-	st.sums = st.sums[:0]
-	clear(st.memo)
-	clear(st.ords)
-}
-
-// blockFingerprint writes one block's canonical form: its identity
-// (name, weight, successors) followed by the sorted multiset of per-op
-// structural sums. Sorting makes the emission order independent of the
-// ops' positions in b.Ops; program order survives only through the
-// side-effect ordinals embedded in the op sums themselves.
-func (st *fpState) blockFingerprint(w io.Writer, b *Block) {
-	st.reset()
-	// First pass: assign each side-effecting op its ordinal among the
-	// block's side-effecting ops, in program order.
-	for _, op := range b.Ops {
-		if opIsOrdered(op) {
-			st.ords[op] = len(st.ords)
-		}
-	}
-	for _, op := range b.Ops {
-		st.sums = append(st.sums, st.opFingerprint(op))
-	}
-	slices.SortFunc(st.sums, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
-	fmt.Fprintf(w, "block %q weight %g succs %q ops %d\n",
-		b.Name, b.Weight, strings.Join(b.Succs, ","), len(b.Ops))
-	for i := range st.sums {
-		w.Write(st.sums[i][:])
-	}
-}
 
 // opIsOrdered reports whether the op's position relative to other ordered
 // ops is semantically meaningful (memory accesses and control flow).
@@ -96,89 +18,21 @@ func opIsOrdered(op *Op) bool {
 	return op.Code.IsMemory() || op.Code.IsBranch()
 }
 
-// Field markers of the serialized op record. Every field is fixed-width or
-// length-prefixed, so the record parses unambiguously front to back; the
-// markers only make the encoding self-describing enough that no two field
-// sequences can collide.
+// Field markers of the serialized member record. Every field is
+// fixed-width or length-prefixed, so the record parses unambiguously front
+// to back; the markers only make the encoding self-describing enough that
+// no two field sequences can collide. The values are part of the stored
+// shape hashes, so they never change.
 const (
 	fpCustom byte = 0xF0
 	fpOrd    byte = 0xF1
 	fpArgOp  byte = 0xF2
-	fpArgReg byte = 0xF3
 	fpArgImm byte = 0xF4
-	fpDest   byte = 0xF5
-	fpDests  byte = 0xF6
-	fpArgExt byte = 0xF7 // external input, subgraph fingerprints only
+	fpArgExt byte = 0xF7 // external input
 )
 
-// opFingerprint hashes one op structurally: opcode, side-effect ordinal
-// (when ordered), operands with FromOp references replaced by the
-// producer's 32-byte sum, and live-out registers. Each op's record embeds
-// its producers' fixed-length sums rather than their expansions, so shared
-// subexpressions cost O(1) per use and the memoized recursion is linear in
-// the block (blocks are acyclic, so it terminates). The record is built on
-// the shared scratch buffer — no intermediate strings — which is what keeps
-// the hot path allocation-light.
-func (st *fpState) opFingerprint(op *Op) [32]byte {
-	if s, ok := st.memo[op]; ok {
-		return s
-	}
-	// Resolve every producer before building this op's record: the scratch
-	// buffer is shared, so callee appends must finish before ours begin.
-	for _, a := range op.Args {
-		if a.Kind == FromOp {
-			st.opFingerprint(a.X)
-		}
-	}
-	b := st.buf[:0]
-	if op.Code == Custom {
-		b = append(b, fpCustom)
-		b = binary.AppendUvarint(b, uint64(len(op.Custom.Name)))
-		b = append(b, op.Custom.Name...)
-		b = binary.AppendVarint(b, int64(op.Custom.Latency))
-		b = binary.AppendVarint(b, int64(op.Custom.NumOut))
-	} else {
-		b = binary.LittleEndian.AppendUint16(b, uint16(op.Code))
-	}
-	if ord, ok := st.ords[op]; ok {
-		b = append(b, fpOrd)
-		b = binary.AppendUvarint(b, uint64(ord))
-	}
-	for _, a := range op.Args {
-		switch a.Kind {
-		case FromOp:
-			s := st.memo[a.X]
-			b = append(b, fpArgOp)
-			b = append(b, s[:]...)
-			b = binary.AppendVarint(b, int64(a.Idx))
-		case FromReg:
-			b = append(b, fpArgReg)
-			b = binary.LittleEndian.AppendUint16(b, uint16(a.Reg))
-		default:
-			b = append(b, fpArgImm)
-			b = binary.LittleEndian.AppendUint32(b, a.Val)
-		}
-	}
-	if op.Dest != 0 {
-		b = append(b, fpDest)
-		b = binary.LittleEndian.AppendUint16(b, uint16(op.Dest))
-	}
-	for i, r := range op.Dests {
-		if r != 0 {
-			b = append(b, fpDests)
-			b = binary.AppendUvarint(b, uint64(i))
-			b = binary.LittleEndian.AppendUint16(b, uint16(r))
-		}
-	}
-	st.buf = b
-	sum := sha256.Sum256(b)
-	st.memo[op] = sum
-	return sum
-}
-
 // SubgraphFingerprint returns a canonical shape hash of the subgraph of b
-// induced by set: the Fingerprint idea extended down from whole programs to
-// candidate subgraphs. The hash identifies the candidate's datapath shape —
+// induced by set. The hash identifies the candidate's datapath shape —
 // opcode structure, internal dataflow (including reconvergent fan-out),
 // which member values escape, and how external inputs are shared — while
 // abstracting everything that varies between occurrences of the same
@@ -189,10 +43,10 @@ func (st *fpState) opFingerprint(op *Op) [32]byte {
 // Two occurrences of the same shape hash equal — that is what lets the
 // candidate corpus (internal/corpus) group memoized candidates into
 // isomorphism classes compatible with graph.Shape.Signature — and unequal
-// hashes are common for genuinely different datapaths. Like Fingerprint the
-// key is conservative: a false split only fragments corpus statistics,
+// hashes are common for genuinely different datapaths. The key is
+// conservative: a false split only fragments corpus statistics,
 // while replay correctness never rides on this hash (the corpus replays
-// under the position-exact block key, not the shape hash).
+// under BlockHash, the position-exact block key, not the shape hash).
 func SubgraphFingerprint(b *Block, set OpSet) string {
 	members := set.Sorted()
 	pos := make(map[*Op]int, len(b.Ops))

@@ -1,13 +1,15 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // pureScalarOps returns every opcode whose block position is semantically
 // irrelevant: value-producing, no memory access, no control flow. These
-// are exactly the ops Fingerprint may see in any order.
+// are the ops a block may list in any topological order.
 func pureScalarOps() []Opcode {
 	var ops []Opcode
 	for c := Opcode(0); c < MaxOpcode; c++ {
@@ -53,30 +55,74 @@ func randomPureProgram(rng *rand.Rand, nBlocks, nOps int) *Program {
 	return p
 }
 
-// TestFingerprintPermutationInvariance is the canonicalization property:
-// for seeded random pure-op programs, shuffling each block's op list and
-// renumbering op IDs arbitrarily must not change the fingerprint — the
-// dataflow graph, not its spelling, is the cache identity.
-func TestFingerprintPermutationInvariance(t *testing.T) {
+// positional renders p with every op reference spelled as its producer's
+// block position and op IDs left out: the reference view of what
+// Fingerprint hashes.
+func positional(p *Program) string {
+	var sb strings.Builder
+	for _, b := range p.Blocks {
+		pos := make(map[*Op]int, len(b.Ops))
+		for i, op := range b.Ops {
+			pos[op] = i
+		}
+		fmt.Fprintf(&sb, "block %s %v %v\n", b.Name, b.Weight, b.Succs)
+		for _, op := range b.Ops {
+			sb.WriteString(op.Code.String())
+			for _, a := range op.Args {
+				switch a.Kind {
+				case FromOp:
+					fmt.Fprintf(&sb, " @%d", pos[a.X])
+				case FromReg:
+					fmt.Fprintf(&sb, " r%d", a.Reg)
+				default:
+					fmt.Fprintf(&sb, " #%d", a.Val)
+				}
+			}
+			fmt.Fprintf(&sb, " -> r%d\n", op.Dest)
+		}
+	}
+	return sb.String()
+}
+
+// TestFingerprintPermutationSensitivity is the exactness property: for
+// seeded random pure-op programs, renumbering op IDs never changes the
+// fingerprint, and shuffling each block's op list changes it exactly when
+// the positional spelling changes — the order the pipeline reads, not the
+// dataflow graph alone, is the cache identity.
+func TestFingerprintPermutationSensitivity(t *testing.T) {
+	moved := 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPureProgram(rng, rng.Intn(3)+1, rng.Intn(40)+5)
-		want := Fingerprint(p)
 		for round := 0; round < 4; round++ {
+			want, text := Fingerprint(p), positional(p)
 			for _, b := range p.Blocks {
-				rng.Shuffle(len(b.Ops), func(i, j int) {
-					b.Ops[i], b.Ops[j] = b.Ops[j], b.Ops[i]
-				})
 				ids := rng.Perm(len(b.Ops))
 				for i, op := range b.Ops {
 					op.ID = ids[i]*7 + rng.Intn(7)
 				}
 			}
 			if got := Fingerprint(p); got != want {
-				t.Fatalf("seed %d round %d: fingerprint changed under permutation:\n  %s\n  %s",
+				t.Fatalf("seed %d round %d: renumbering op IDs changed the fingerprint:\n  %s\n  %s",
 					seed, round, want, got)
 			}
+			for _, b := range p.Blocks {
+				rng.Shuffle(len(b.Ops), func(i, j int) {
+					b.Ops[i], b.Ops[j] = b.Ops[j], b.Ops[i]
+				})
+			}
+			got := Fingerprint(p)
+			if sameText, sameHash := positional(p) == text, got == want; sameText != sameHash {
+				t.Fatalf("seed %d round %d: shuffle left the positional spelling equal=%v but the fingerprint equal=%v",
+					seed, round, sameText, sameHash)
+			}
+			if got != want {
+				moved++
+			}
 		}
+	}
+	if moved == 0 {
+		t.Fatal("test is vacuous: no shuffle changed any program")
 	}
 }
 

@@ -15,8 +15,12 @@
 //   - Validate: the structural boundary guard every public pipeline entry
 //     point runs (operand counts, acyclicity, in-range references).
 //   - Optimize: CSE and dead-code elimination ahead of matching.
-//   - Fingerprint: the canonical content hash behind the customization
-//     service's result cache (internal/server).
+//   - Fingerprint and BlockHash: the exact, op-order-sensitive program and
+//     block hashes — the one program identity behind the customization
+//     service's result cache (internal/server), the cluster's routing ring
+//     (internal/cluster) and the exploration corpus's block key
+//     (internal/corpus). SubgraphFingerprint is the separate canonical
+//     shape hash of a candidate subgraph.
 //   - Unroll: the loop-unrolling transform of the paper's §2 discussion.
 //   - WriteDot: Graphviz export with matched CFUs shaded (cmd/iscdot).
 package ir

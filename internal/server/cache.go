@@ -6,7 +6,7 @@ import (
 )
 
 // resultCache is a fixed-capacity LRU of rendered response bodies keyed by
-// the canonical content hash of (program, config). Values are the exact
+// the content hash of (endpoint, program, config), Request.cacheKey. Values are the exact
 // bytes previously written to a client, so a hit is served without
 // re-running the pipeline or re-encoding, and repeated requests are
 // byte-identical by construction.

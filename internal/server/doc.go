@@ -21,10 +21,11 @@
 //
 // Hot-path machinery, in request order: an LRU result cache keyed by a
 // hash of the program's ir.Fingerprint, the deadline and the JSON form of
-// the normalized core.Config — the fingerprint makes the key invariant
-// under pure-op reordering, so a resubmitted program hits even after
-// cosmetic edits (the pipeline is not invariant under that reordering, a
-// known gap documented on cacheKey); singleflight coalescing so N concurrent
+// the normalized core.Config — the fingerprint is exact over what the
+// pipeline reads, op order included, and blind to op IDs, so a benchmark
+// name, its iscasm text and a renumbered copy of that text share one
+// entry, while a reordered program, which the pipeline may customize
+// differently, gets its own; singleflight coalescing so N concurrent
 // identical requests run the pipeline once and share one byte-identical
 // body; bounded admission against the shared explore.Tokens budget so the
 // service never oversubscribes cores no matter the request rate;

@@ -49,19 +49,16 @@ func (r Request) deadline() time.Duration {
 	return time.Duration(r.DeadlineMS) * time.Millisecond
 }
 
-// cacheKey is the canonical content hash of (endpoint, program,
-// configuration): the program's semantic fingerprint (ir.Fingerprint,
-// invariant under pure-op reordering and ID renumbering), the deadline and
-// the JSON form of the normalized configuration. Every knob on the wire is
-// in that JSON form and every knob off it is fixed for the server, so no
-// field that can change the response is left out of the key. The kind
-// prefix ("customize", "hdl") keeps different endpoints' results from
-// aliasing in the shared cache even though they hash the same request.
-// The cache is sound only if equal keys give byte-identical responses, and
-// one known gap breaks that: the fingerprint ignores the order of pure ops
-// but the pipeline does not, so two spellings of a program that differ
-// only in that order share a key yet can produce different responses, and
-// the cache serves whichever spelling arrived first.
+// cacheKey is the content hash of (endpoint, program, configuration): the
+// program's exact hash (ir.Fingerprint, which covers op order but not op
+// IDs), the deadline and the JSON form of the normalized configuration.
+// Every knob on the wire is in that JSON form and every knob off it is
+// fixed for the server, so no field that can change the response is left
+// out of the key. The kind prefix ("customize", "hdl") keeps different
+// endpoints' results from aliasing in the shared cache even though they
+// hash the same request. The cache is sound only if equal keys give
+// byte-identical responses; TestEqualKeyEqualBytes checks that over every
+// benchmark and across spellings of each program.
 // The request must have passed Config.Validate: an unknown select mode has
 // no JSON form.
 func (r Request) cacheKey(kind string, p *ir.Program) string {

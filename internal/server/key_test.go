@@ -18,50 +18,23 @@ import (
 // against; any non-zero value works, the tests only need one fixed point.
 const testDeadline = 2 * time.Second
 
-// buildHashKernel emits the same two-block DFG with the pure ops of the hot
-// block in a caller-chosen order and arbitrary op IDs.
-func buildHashKernel(reordered bool) *ir.Program {
+// buildHashKernel emits a small two-block program for the key tests.
+func buildHashKernel() *ir.Program {
 	p := ir.NewProgram("kernel")
 	b := p.AddBlock("hot", 5000)
 	x, y := b.Arg(ir.R(1)), b.Arg(ir.R(2))
-	var rot, masked ir.Operand
-	if reordered {
-		masked = b.And(y, b.Imm(0xFF))
-		rot = b.Rotl(x, b.Imm(7))
-	} else {
-		rot = b.Rotl(x, b.Imm(7))
-		masked = b.And(y, b.Imm(0xFF))
-	}
+	rot := b.Rotl(x, b.Imm(7))
+	masked := b.And(y, b.Imm(0xFF))
 	b.Def(ir.R(3), b.Xor(rot, masked))
 	tail := p.AddBlock("tail", 100)
 	tail.Def(ir.R(4), tail.Add(tail.Arg(ir.R(3)), tail.Imm(1)))
-	if reordered {
-		// Renumber IDs too: identity must be structural, not positional.
-		for _, op := range b.Ops {
-			op.ID += 1000
-		}
-	}
 	return p
-}
-
-// Two semantically identical programs whose blocks list the DFG in
-// different orders (and with different op IDs) must share one cache key —
-// that is what makes resubmission after cosmetic edits a cache hit.
-func TestCacheKeyCanonicalizesNodeOrder(t *testing.T) {
-	req := Request{Config: core.Config{Budget: 10}}.Normalized(testDeadline)
-	a, c := buildHashKernel(false), buildHashKernel(true)
-	if a.String() == c.String() {
-		t.Fatal("test is vacuous: programs have identical text")
-	}
-	if req.cacheKey("customize", a) != req.cacheKey("customize", c) {
-		t.Error("reordered-but-identical programs produced different cache keys")
-	}
 }
 
 func TestCacheKeySensitiveToProgram(t *testing.T) {
 	req := Request{}.Normalized(testDeadline)
-	base := req.cacheKey("customize", buildHashKernel(false))
-	p := buildHashKernel(false)
+	base := req.cacheKey("customize", buildHashKernel())
+	p := buildHashKernel()
 	p.Blocks[0].Weight = 4999
 	if req.cacheKey("customize", p) == base {
 		t.Error("profile-weight change did not change the cache key")
@@ -178,7 +151,7 @@ func TestRequestWireKeys(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	p := buildHashKernel(false)
+	p := buildHashKernel()
 	if back = back.Normalized(testDeadline); back.cacheKey("customize", p) != r.cacheKey("customize", p) ||
 		back.Benchmark != r.Benchmark || back.Program != r.Program {
 		t.Errorf("request does not survive a JSON round trip:\n got %s\nwant %+v", b, r)
@@ -190,7 +163,7 @@ func TestRequestWireKeys(t *testing.T) {
 // walk covers the promoted core.Config fields, so a knob added to the wire
 // is guarded without editing this test.
 func TestCacheKeySensitiveToEveryRequestField(t *testing.T) {
-	p := buildHashKernel(false)
+	p := buildHashKernel()
 	base := Request{}.Normalized(testDeadline)
 	baseKey := base.cacheKey("customize", p)
 	seen := map[string]string{}
@@ -216,7 +189,7 @@ func TestCacheKeySensitiveToEveryRequestField(t *testing.T) {
 // wire field with a default in core.Config.Normalize is covered
 // automatically.
 func TestCacheKeyNormalizesDefaults(t *testing.T) {
-	p := buildHashKernel(false)
+	p := buildHashKernel()
 	norm := Request{}.Normalized(testDeadline)
 	implicit := norm.cacheKey("customize", p)
 	// Normalizing must be idempotent...
@@ -240,7 +213,7 @@ func TestCacheKeyNormalizesDefaults(t *testing.T) {
 // shared in the LRU. normalized() must resolve DeadlineMS against the
 // server default before cacheKey hashes it.
 func TestCacheKeyNormalizesDeadline(t *testing.T) {
-	p := buildHashKernel(false)
+	p := buildHashKernel()
 	implicit := Request{}.Normalized(testDeadline).cacheKey("customize", p)
 	spelled := Request{DeadlineMS: int(testDeadline / time.Millisecond)}
 	explicit := spelled.Normalized(testDeadline).cacheKey("customize", p)
@@ -259,7 +232,7 @@ func TestCacheKeyNormalizesDeadline(t *testing.T) {
 // on one program must occupy distinct cache entries, and the default
 // spelling normalizes like every other field.
 func TestCacheKeySeparatesStrategies(t *testing.T) {
-	p := buildHashKernel(false)
+	p := buildHashKernel()
 	keys := map[string]string{}
 	for _, strat := range []string{"", "enumerate", "improve"} {
 		for _, cost := range []string{"", "area", "uarch"} {

@@ -317,8 +317,9 @@ func Resolve(req Request) (*ir.Program, int, error) {
 	default:
 		return nil, http.StatusBadRequest, fmt.Errorf("request needs a benchmark name or an iscasm program")
 	}
-	// Validation before fingerprinting: the canonical hash walks the DFG
-	// and must only see well-formed (acyclic) programs.
+	// Validation before fingerprinting: the hash resolves operands to
+	// block positions and must only see well-formed programs, whose
+	// operands name ops of their own block.
 	if err := ir.Validate(p); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
