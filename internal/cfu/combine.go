@@ -106,8 +106,8 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 				break
 			}
 		}
-		shape, _, _ := graph.FromOpSet(cand.DFG, cand.Set)
-		occ := Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Set.Sorted(), Weight: cand.Block.Weight}
+		shape, _, _ := graph.FromOps(cand.DFG, cand.Ops)
+		occ := Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Ops, Weight: cand.Block.Weight}
 		sig := shape.Signature()
 		var home *CFU
 		for _, c := range bySig[sig] {

@@ -115,14 +115,20 @@ func exploreBlockMemo(strat Strategy, b *ir.Block, cfg Config, res *Result, bud 
 // bit patterns (stored as raw float bits precisely because the cold path
 // accumulates them incrementally and replay must not re-round). It reports
 // false — leaving res untouched, so the caller falls back to the cold path
-// — when any member index does not fit b, the symptom of a hash collision
-// or a foreign disk record.
+// — when any member list is not strictly ascending or does not fit b, the
+// symptom of a hash collision or a foreign disk record. Each candidate's
+// Ops share the entry's member list.
 func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 	n := len(b.Ops)
 	for i := range e.Candidates {
-		c := &e.Candidates[i]
-		if len(c.Members) == 0 || c.Members[len(c.Members)-1] >= n || c.Members[0] < 0 {
+		m := e.Candidates[i].Members
+		if len(m) == 0 || m[0] < 0 || m[len(m)-1] >= n {
 			return false
+		}
+		for k := 1; k < len(m); k++ {
+			if m[k] <= m[k-1] {
+				return false
+			}
 		}
 	}
 	var d *ir.DFG
@@ -132,7 +138,7 @@ func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 	for i := range e.Candidates {
 		c := &e.Candidates[i]
 		res.Candidates = append(res.Candidates, Candidate{
-			Block: b, DFG: d, Set: ir.NewOpSet(c.Members...),
+			Block: b, DFG: d, Ops: c.Members,
 			Area:    math.Float64frombits(c.AreaBits),
 			Latency: math.Float64frombits(c.LatencyBits),
 			Inputs:  c.Inputs, Outputs: c.Outputs,
@@ -153,12 +159,12 @@ func buildEntry(cands []Candidate, examined, pruned int) *corpus.Entry {
 	for i := range cands {
 		c := &cands[i]
 		e.Candidates[i] = corpus.Candidate{
-			Members:     c.Set.Sorted(),
+			Members:     c.Ops,
 			AreaBits:    math.Float64bits(c.Area),
 			LatencyBits: math.Float64bits(c.Latency),
 			Inputs:      c.Inputs,
 			Outputs:     c.Outputs,
-			Shape:       ir.SubgraphFingerprint(c.Block, c.Set),
+			Shape:       ir.SubgraphFingerprint(c.Block, ir.NewOpSet(c.Ops...)),
 		}
 	}
 	return e

@@ -41,7 +41,7 @@ func TestCorpusWarmHitsEveryBlock(t *testing.T) {
 	}
 	for i := range warm.Candidates {
 		w, cd := &warm.Candidates[i], &cold.Candidates[i]
-		if w.Block != cd.Block || !slices.Equal(w.Set.Sorted(), cd.Set.Sorted()) ||
+		if w.Block != cd.Block || !slices.Equal(w.Ops, cd.Ops) ||
 			w.Area != cd.Area || w.Latency != cd.Latency ||
 			w.Inputs != cd.Inputs || w.Outputs != cd.Outputs {
 			t.Fatalf("candidate %d differs between warm and cold", i)
@@ -113,22 +113,25 @@ func TestCorpusNoInsertWhenTruncated(t *testing.T) {
 }
 
 // TestCorpusReplayRejectsForeignEntry: an entry whose member indices do
-// not fit the block (hash collision, corrupt disk record that passed
-// framing) must be rejected at replay, falling back to the cold path.
+// not fit the block, or are not strictly ascending as candidate Ops must
+// be (hash collision, corrupt disk record that passed framing), must be
+// rejected at replay, falling back to the cold path.
 func TestCorpusReplayRejectsForeignEntry(t *testing.T) {
-	c, cfg, b := corpusTestSetup(t)
-	cold := Explore(b.Program, Config{Constraints: cfg.Constraints, Lib: cfg.Lib, Fanout: cfg.Fanout, FanoutDesc: cfg.FanoutDesc})
-	// Plant a poisoned entry under the exact key the explorer will derive.
-	sig := cfg.corpusConfigSig()
-	blk := b.Program.Blocks[0]
-	c.Insert(corpus.Key{Block: ir.BlockHash(blk), Config: sig}, &corpus.Entry{
-		Candidates: []corpus.Candidate{{Members: []int{len(blk.Ops) + 7}, Inputs: 1, Outputs: 1}},
-	})
-	res := Explore(b.Program, cfg)
-	if len(res.Candidates) != len(cold.Candidates) {
-		t.Fatalf("poisoned entry leaked: %d candidates, want %d", len(res.Candidates), len(cold.Candidates))
-	}
-	if res.Stats.CorpusHits != 0 {
-		t.Fatal("foreign entry counted as a hit")
+	for _, members := range [][]int{{1 << 20}, {1, 0}, {0, 0}} {
+		c, cfg, b := corpusTestSetup(t)
+		cold := Explore(b.Program, Config{Constraints: cfg.Constraints, Lib: cfg.Lib, Fanout: cfg.Fanout, FanoutDesc: cfg.FanoutDesc})
+		sig := cfg.corpusConfigSig()
+		blk := b.Program.Blocks[0]
+		// Plant a poisoned entry under the exact key the explorer will derive.
+		c.Insert(corpus.Key{Block: ir.BlockHash(blk), Config: sig}, &corpus.Entry{
+			Candidates: []corpus.Candidate{{Members: members, Inputs: 1, Outputs: 1}},
+		})
+		res := Explore(b.Program, cfg)
+		if len(res.Candidates) != len(cold.Candidates) {
+			t.Fatalf("members %v: poisoned entry leaked: %d candidates, want %d", members, len(res.Candidates), len(cold.Candidates))
+		}
+		if res.Stats.CorpusHits != 0 {
+			t.Fatalf("members %v: foreign entry counted as a hit", members)
+		}
 	}
 }

@@ -8,10 +8,18 @@
 // enumeration: whole subtrees of the search space are skipped without being
 // visited.
 //
+// The enumerative grower prices every growth direction (area, latency,
+// ports) before building it: the guide function, the threshold and the
+// fanout cap rank (op, score) pairs, the visited set is checked against
+// the current subgraph plus the op, and only fresh survivors are copied
+// into new work items.
+//
 // Main entry points:
 //
-//   - Explore: per-program entry; returns a Result with candidates, guide
-//     scores, and Stats (nodes examined, directions pruned, truncation).
+//   - Explore: per-program entry; returns a Result with candidates and
+//     Stats (nodes examined, directions pruned, truncation). Each
+//     Candidate carries its subgraph as Ops, ascending op indices within
+//     its block, shared read-only with the corpus.
 //   - Config / DefaultConfig: guide weights, Constraints (input/output port
 //     limits, §3.1), anytime controls (Ctx, Deadline, MaxCandidates — all
 //     yield best-so-far results tagged Truncated), Workers and Spare for

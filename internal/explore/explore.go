@@ -4,7 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,9 +187,12 @@ func (w GuideWeights) orEven() GuideWeights {
 // Candidate is one discovered subgraph, annotated with hardware estimates,
 // as handed to the candidate-combination stage.
 type Candidate struct {
-	Block   *ir.Block
-	DFG     *ir.DFG
-	Set     ir.OpSet
+	Block *ir.Block
+	DFG   *ir.DFG
+	// Ops are the subgraph's op indices within Block, ascending. The slice
+	// is read-only: corpus replay shares one entry's member list with every
+	// run that replays it.
+	Ops     []int
 	Area    float64
 	Latency float64
 	Inputs  int
@@ -465,7 +468,8 @@ type blockCtx struct {
 	area      []float64
 	delay     []float64
 
-	scratch []float64 // longest-path workspace
+	scratch []float64 // member depths of the item being priced (loadDepths)
+	suffix  []float64 // probe's depths for the grown op and the members after it
 
 	nv int // value-space width (ops then regs); argUnion bitset width
 
@@ -493,6 +497,7 @@ func newBlockCtx(b *ir.Block, lib *hwlib.Library) *blockCtx {
 		area:      make([]float64, n),
 		delay:     make([]float64, n),
 		scratch:   make([]float64, n),
+		suffix:    make([]float64, n),
 	}
 	regID := make(map[ir.Reg]int)
 	for _, op := range b.Ops {
@@ -565,9 +570,15 @@ type workItem struct {
 	depths   []float64 // internal critical-path depth per member, parallel to members
 	argUnion bitset
 	nbrUnion bitset
-	area     float64
-	latency  float64
-	in, out  int
+	price
+}
+
+// price is what the guide function reads of a subgraph: its summed area,
+// internal critical-path latency and register port counts.
+type price struct {
+	area    float64
+	latency float64
+	in, out int
 }
 
 // alloc returns a work item with buffers sized for this block, recycled
@@ -595,41 +606,125 @@ func (c *blockCtx) release(w *workItem) {
 	c.free = append(c.free, w)
 }
 
-// grow returns cur extended with op nb, maintaining the derived fields
-// incrementally instead of recomputing them from scratch:
+// loadDepths writes cur's member depths into c.scratch, where probe and
+// grow read them. Exploration loads each popped item once and then prices
+// and grows all of its directions against the same workspace; neither
+// probe nor grow writes it.
+func (c *blockCtx) loadDepths(cur *workItem) {
+	for k, m := range cur.members {
+		c.scratch[m] = cur.depths[k]
+	}
+}
+
+// probe prices cur extended with op nb (not in cur) without building it.
+// It is the one copy of the incremental cost math; grow assembles the item
+// around its result. c.scratch must hold cur's depths (loadDepths).
 //
-//   - members/depths: nb is spliced into the ascending member list. Block
-//     order is topological, so members before the insertion point cannot
-//     depend on nb and keep their depths; members after it are recomputed
-//     only when nb actually feeds the set (userMask test), otherwise copied.
-//   - in: fused into the argUnion copy — popcount of (argUnion &^ set).
+//   - area: cur's plus nb's.
+//   - latency: nb's data predecessors precede it in block order, so they
+//     keep cur's depths and nb's depth costs O(preds). When nb feeds no
+//     member, no other depth changes and the latency is the larger of
+//     cur's and nb's. Otherwise the members after nb are recomputed in
+//     block order into c.suffix, leaving c.scratch intact for the next
+//     direction.
+//   - in: popcount of (argUnion | nb's args) &^ (set | nb). Register-value
+//     bits live above the op bits, so masking with the set only clears op
+//     values produced inside the candidate.
 //   - out: starts from cur.out; only nb and its in-set data predecessors
 //     can change output-ness, because adding nb alters "has a consumer
 //     outside the set" for exactly the ops nb consumes.
+func (c *blockCtx) probe(cur *workItem, nb int) price {
+	p := price{area: cur.area + c.area[nb]}
+
+	nbWord, nbBit := nb>>6, uint64(1)<<(uint(nb)&63)
+	av := c.argVals[nb]
+	for i, u := range cur.argUnion {
+		u |= av[i]
+		if i < len(cur.set) {
+			s := cur.set[i]
+			if i == nbWord {
+				s |= nbBit
+			}
+			u &^= s
+		}
+		p.in += bits.OnesCount64(u)
+	}
+
+	best := 0.0
+	for _, q := range c.dataPreds[nb] {
+		if cur.set.has(q) && c.scratch[q] > best {
+			best = c.scratch[q]
+		}
+	}
+	dnb := best + c.delay[nb]
+	c.suffix[nb] = dnb
+	if !c.userMask[nb].intersects(cur.set) {
+		p.latency = cur.latency
+		if dnb > p.latency {
+			p.latency = dnb
+		}
+	} else {
+		lat := dnb
+		for k, m := range cur.members {
+			dm := cur.depths[k]
+			if m > nb {
+				b := 0.0
+				for _, q := range c.dataPreds[m] {
+					if q != nb && !cur.set.has(q) {
+						continue
+					}
+					dq := c.suffix[q] // nb and the members after it
+					if q < nb {
+						dq = c.scratch[q]
+					}
+					if dq > b {
+						b = dq
+					}
+				}
+				dm = b + c.delay[m]
+				c.suffix[m] = dm
+			}
+			if dm > lat {
+				lat = dm
+			}
+		}
+		p.latency = lat
+	}
+
+	p.out = cur.out
+	for _, q := range c.dataPreds[nb] {
+		if !cur.set.has(q) || c.escapes[q] {
+			continue
+		}
+		outside := c.userMask[q].andNotCount(cur.set)
+		if c.userMask[q].has(nb) {
+			outside--
+		}
+		if outside == 0 {
+			p.out--
+		}
+	}
+	if c.escapes[nb] || c.userMask[nb].andNotCount(cur.set) > 0 {
+		p.out++
+	}
+	return p
+}
+
+// grow returns cur extended with op nb, priced by probe; c.scratch must
+// hold cur's depths (loadDepths). nb is spliced into the ascending member
+// list. Block order is topological, so members before nb keep their
+// depths; members after it take probe's recomputed depths when nb feeds
+// the set, and keep theirs otherwise.
 func (c *blockCtx) grow(cur *workItem, nb int) *workItem {
 	w := c.alloc()
+	w.price = c.probe(cur, nb)
 	copy(w.set, cur.set)
 	w.set.set(nb)
 	copy(w.nbrUnion, cur.nbrUnion)
 	w.nbrUnion.orInto(c.nbrMask[nb])
-	w.area = cur.area + c.area[nb]
+	copy(w.argUnion, cur.argUnion)
+	w.argUnion.orInto(c.argVals[nb])
 
-	// argUnion and the input-port count in one pass. Register-value bits
-	// live above the op bits, so masking with set only clears op values
-	// produced inside the candidate.
-	in := 0
-	av := c.argVals[nb]
-	for i := range w.argUnion {
-		u := cur.argUnion[i] | av[i]
-		w.argUnion[i] = u
-		if i < len(w.set) {
-			u &^= w.set[i]
-		}
-		in += bits.OnesCount64(u)
-	}
-	w.in = in
-
-	// Members, depths, and internal latency.
 	ins := len(cur.members)
 	for k, m := range cur.members {
 		if nb < m {
@@ -637,70 +732,16 @@ func (c *blockCtx) grow(cur *workItem, nb int) *workItem {
 			break
 		}
 	}
-	w.members = append(w.members[:0], cur.members[:ins]...)
-	w.depths = append(w.depths[:0], cur.depths[:ins]...)
-	lat := 0.0
-	for k := 0; k < ins; k++ {
-		c.scratch[cur.members[k]] = cur.depths[k]
-		if cur.depths[k] > lat {
-			lat = cur.depths[k]
-		}
-	}
-	best := 0.0
-	for _, p := range c.dataPreds[nb] {
-		if w.set.has(p) && c.scratch[p] > best {
-			best = c.scratch[p]
-		}
-	}
-	dnb := best + c.delay[nb]
-	c.scratch[nb] = dnb
-	w.members = append(w.members, nb)
-	w.depths = append(w.depths, dnb)
-	if dnb > lat {
-		lat = dnb
-	}
-	if ins < len(cur.members) && c.userMask[nb].intersects(w.set) {
-		// nb feeds at least one member after it: recompute the suffix.
-		for k := ins; k < len(cur.members); k++ {
-			m := cur.members[k]
-			b := 0.0
-			for _, p := range c.dataPreds[m] {
-				if w.set.has(p) && c.scratch[p] > b {
-					b = c.scratch[p]
-				}
-			}
-			dm := b + c.delay[m]
-			c.scratch[m] = dm
-			w.members = append(w.members, m)
-			w.depths = append(w.depths, dm)
-			if dm > lat {
-				lat = dm
-			}
+	w.members = append(append(w.members[:0], cur.members[:ins]...), nb)
+	w.depths = append(append(w.depths[:0], cur.depths[:ins]...), c.suffix[nb])
+	w.members = append(w.members, cur.members[ins:]...)
+	if c.userMask[nb].intersects(cur.set) {
+		for _, m := range cur.members[ins:] {
+			w.depths = append(w.depths, c.suffix[m])
 		}
 	} else {
-		for k := ins; k < len(cur.members); k++ {
-			w.members = append(w.members, cur.members[k])
-			w.depths = append(w.depths, cur.depths[k])
-			if cur.depths[k] > lat {
-				lat = cur.depths[k]
-			}
-		}
+		w.depths = append(w.depths, cur.depths[ins:]...)
 	}
-	w.latency = lat
-
-	// Output ports: a data predecessor of nb inside the set loses its
-	// output-ness when nb was its last outside consumer; nb itself is an
-	// output when its value escapes or is consumed outside the set.
-	out := cur.out
-	for _, p := range c.dataPreds[nb] {
-		if w.set.has(p) && !c.escapes[p] && c.userMask[p].andNotCount(w.set) == 0 {
-			out--
-		}
-	}
-	if c.escapes[nb] || c.userMask[nb].andNotCount(w.set) > 0 {
-		out++
-	}
-	w.out = out
 	return w
 }
 
@@ -794,19 +835,13 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		res.Stats.VisitedCollisions += visited.collisions
 	}()
 
-	record := func(w *workItem) { recordCandidate(ctx, b, cfg, res, w) }
-
-	// push takes ownership of w: a duplicate is released back to the pool,
-	// a fresh subgraph is recorded and queued.
-	push := func(w *workItem) {
-		if !visited.insert(w.set) {
-			ctx.release(w)
-			return
-		}
+	// admit counts, records and queues a subgraph the visited set has just
+	// taken as new.
+	admit := func(w *workItem) {
 		examined++
 		res.Stats.Examined++
 		res.Stats.BySize[len(w.members)]++
-		record(w)
+		recordCandidate(ctx, b, cfg, res, w)
 		queue = append(queue, w)
 	}
 
@@ -815,14 +850,20 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 			return
 		}
 		if ctx.allowed.has(i) {
-			push(ctx.seed(i))
+			w := ctx.seed(i)
+			if visited.insert(w.set, -1) {
+				admit(w)
+			} else {
+				ctx.release(w)
+			}
 		}
 	}
 
-	type scored struct {
-		w     *workItem
-		score float64
-	}
+	// Directions are priced before anything is built: the guide function,
+	// the threshold and the fanout cap work on (op, score) pairs, the
+	// visited set is probed with cur ∪ {op}, and only fresh survivors are
+	// grown into work items.
+	priced := !cfg.Naive && cfg.CandidatePrune <= 0
 	accepted := make([]scored, 0, 64)
 
 	for head < len(queue) && examined < maxExamined {
@@ -856,6 +897,7 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		}
 
 		accepted = accepted[:0]
+		ctx.loadDepths(cur)
 		for wi, wd := range cur.nbrUnion {
 			if wi < len(cur.set) {
 				wd &^= cur.set[wi]
@@ -866,48 +908,68 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 				if !ctx.allowed.has(nb) {
 					continue
 				}
-				grown := ctx.grow(cur, nb)
-				if cfg.Naive || cfg.CandidatePrune > 0 {
-					accepted = append(accepted, scored{grown, 0})
+				if !priced {
+					accepted = append(accepted, scored{nb, 0})
 					continue
 				}
+				grown := ctx.probe(cur, nb)
 				var s float64
 				if uarch {
-					s = uarchScore(ctx, cur, grown, nb, weights, maxPorts)
+					s = uarchScore(ctx, cur.price, grown, nb, weights, maxPorts)
 				} else {
-					s = guideScore(ctx, cur, grown, nb, weights)
+					s = guideScore(ctx, cur.price, grown, nb, weights)
 				}
 				if s < threshold {
 					res.Stats.PrunedDirections++
-					ctx.release(grown)
 					continue
 				}
-				accepted = append(accepted, scored{grown, s})
+				accepted = append(accepted, scored{nb, s})
 			}
 		}
 		if !cfg.Naive && cfg.Fanout != nil {
 			if k := cfg.Fanout(len(cur.members), b.Weight); k > 0 && len(accepted) > k {
-				sort.Slice(accepted, func(a, b int) bool { return accepted[a].score > accepted[b].score })
+				slices.SortFunc(accepted, byScoreDesc)
 				res.Stats.PrunedDirections += len(accepted) - k
-				for _, a := range accepted[k:] {
-					ctx.release(a.w)
-				}
 				accepted = accepted[:k]
 			}
 		}
-		ctx.release(cur)
 		for _, a := range accepted {
-			push(a.w)
+			if !visited.insert(cur.set, a.nb) {
+				continue
+			}
+			admit(ctx.grow(cur, a.nb))
 			if examined >= maxExamined {
 				return
 			}
 		}
+		ctx.release(cur)
 
 		if cfg.CandidatePrune > 0 {
 			live := pruneCandidates(ctx, queue[head:], b.Weight, cfg.CandidatePrune)
 			queue = queue[:head+len(live)]
 		}
 	}
+}
+
+// scored is one growth direction of a popped item: the op it adds and the
+// guide score of adding it.
+type scored struct {
+	nb    int
+	score float64
+}
+
+// byScoreDesc orders directions best first for the fanout cap. Equal
+// scores stay in the order pdqsort leaves them, and which tied directions
+// survive the cap is part of the candidate stream: adding a tie-break
+// would change every downstream result.
+func byScoreDesc(a, b scored) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case b.score > a.score:
+		return 1
+	}
+	return 0
 }
 
 // recordCandidate applies the shared candidate filter — positive cycle
@@ -936,18 +998,18 @@ func recordCandidate(ctx *blockCtx, b *ir.Block, cfg Config, res *Result, w *wor
 		return
 	}
 	res.Candidates = append(res.Candidates, Candidate{
-		Block: b, DFG: ctx.d, Set: ir.NewOpSet(w.members...),
+		Block: b, DFG: ctx.d, Ops: slices.Clone(w.members),
 		Area: w.area, Latency: w.latency,
 		Inputs: w.in, Outputs: w.out,
 	})
 	res.Stats.Recorded++
 }
 
-// guideScore ranks the desirability of having grown candidate cur into
-// grown by adding node nb. With uarch set (Config.CostModel == CostUarch)
-// the area and latency categories price microarchitectural fit instead of
-// die area: see uarchScore.
-func guideScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights) float64 {
+// guideScore ranks the desirability of growing a candidate priced cur
+// into one priced grown by adding node nb. With uarch set
+// (Config.CostModel == CostUarch) the area and latency categories price
+// microarchitectural fit instead of die area: see uarchScore.
+func guideScore(ctx *blockCtx, cur, grown price, nb int, w GuideWeights) float64 {
 	// Criticality: 10/(slack+1); nodes on the critical path score full.
 	crit := w.Criticality / float64(ctx.d.Slack[nb]+1)
 
@@ -984,7 +1046,7 @@ func guideScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights) flo
 // it costs a stage), and the area points become a register-port-fit score:
 // full while the grown candidate's total ports fit the machine's port
 // budget, shrinking proportionally as the demand overshoots it.
-func uarchScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights, maxPorts int) float64 {
+func uarchScore(ctx *blockCtx, cur, grown price, nb int, w GuideWeights, maxPorts int) float64 {
 	crit := w.Criticality / float64(ctx.d.Slack[nb]+1)
 
 	oldStages := math.Max(1, math.Ceil(cur.latency))

@@ -76,7 +76,7 @@ func TestExploreFindsCandidates(t *testing.T) {
 	}
 	lib := hwlib.Default()
 	for _, c := range res.Candidates {
-		for i := range c.Set {
+		for _, i := range c.Ops {
 			if !lib.Allowed(b.Ops[i].Code) {
 				t.Fatalf("candidate contains disallowed op %s", b.Ops[i].Code)
 			}
@@ -84,10 +84,11 @@ func TestExploreFindsCandidates(t *testing.T) {
 		if c.Inputs > 5 || c.Outputs > 3 {
 			t.Fatalf("candidate violates IO constraints: %d/%d", c.Inputs, c.Outputs)
 		}
-		if !c.Set.Connected(c.DFG) {
+		set := ir.NewOpSet(c.Ops...)
+		if !set.Connected(c.DFG) {
 			t.Fatal("disconnected candidate")
 		}
-		if !c.Set.Convex(c.DFG) {
+		if !set.Convex(c.DFG) {
 			t.Fatal("non-convex candidate recorded")
 		}
 	}
@@ -116,8 +117,9 @@ func bestCandidateKeys(res *Result, lib *hwlib.Library, n int) map[string]bool {
 	}
 	var list []kv
 	for _, c := range res.Candidates {
-		saved := float64(len(c.Set)) - float64(c.Set.Cycles(c.DFG, lib))
-		list = append(list, kv{c.Set.Key(), saved})
+		set := ir.NewOpSet(c.Ops...)
+		saved := float64(len(set)) - float64(set.Cycles(c.DFG, lib))
+		list = append(list, kv{set.Key(), saved})
 	}
 	// selection sort of top n (tiny lists)
 	out := make(map[string]bool)
@@ -191,8 +193,8 @@ func TestAreaAndSizeConstraints(t *testing.T) {
 	cfg = defaultCfg()
 	cfg.MaxOps = 2
 	for _, c := range ExploreBlock(b, cfg).Candidates {
-		if len(c.Set) > 2 {
-			t.Fatalf("candidate size %d exceeds cap", len(c.Set))
+		if len(c.Ops) > 2 {
+			t.Fatalf("candidate size %d exceeds cap", len(c.Ops))
 		}
 	}
 }

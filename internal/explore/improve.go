@@ -65,8 +65,7 @@ func (c *blockCtx) cloneItem(cur *workItem) *workItem {
 	copy(w.nbrUnion, cur.nbrUnion)
 	w.members = append(w.members[:0], cur.members...)
 	w.depths = append(w.depths[:0], cur.depths...)
-	w.area, w.latency = cur.area, cur.latency
-	w.in, w.out = cur.in, cur.out
+	w.price = cur.price
 	return w
 }
 
@@ -232,6 +231,7 @@ func chainWalk(c *blockCtx, cfg Config, s, overshoot int, uarch bool, visit func
 		// then continue along the most critical data successor of last.
 		var next, side *workItem
 		nextOp, sideOp, bestSlack, sideStages := -1, -1, 0, 0
+		c.loadDepths(cur)
 		frontier := cur.nbrUnion
 		frontier.forEach(cur.set, func(nb int) {
 			if !c.allowed.has(nb) {
@@ -369,6 +369,7 @@ func (c *blockCtx) bestMove(cur *workItem, cfg Config, tabu bitset, uarch bool, 
 	// Adds in ascending (op index) order, then removes: the evaluation
 	// order plus strict improvement makes ties deterministic.
 	sort.Slice(adds, func(a, b int) bool { return adds[a].op < adds[b].op })
+	c.loadDepths(cur)
 	for _, mv := range adds {
 		consider(c.grow(cur, mv.op), mv.op)
 	}
@@ -409,7 +410,7 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 	}()
 
 	visit := func(w *workItem) {
-		if !visited.insert(w.set) {
+		if !visited.insert(w.set, -1) {
 			return
 		}
 		examined++

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/hwlib"
@@ -20,7 +21,7 @@ func compareResults(t *testing.T, want, got *Result, label string) {
 	}
 	for i := range want.Candidates {
 		w, g := want.Candidates[i], got.Candidates[i]
-		if w.Block != g.Block || w.Set.Key() != g.Set.Key() ||
+		if w.Block != g.Block || !slices.Equal(w.Ops, g.Ops) ||
 			w.Area != g.Area || w.Latency != g.Latency ||
 			w.Inputs != g.Inputs || w.Outputs != g.Outputs {
 			t.Fatalf("%s: candidate %d differs: %v vs %v", label, i, g, w)
@@ -67,8 +68,9 @@ func TestParallelExploreDeterminism(t *testing.T) {
 }
 
 // TestGrowReleaseAllocFree bounds the steady-state allocation cost of the
-// explorer's hottest operation: once the freelist is warm, growing a
-// subgraph by one op and releasing it must not allocate at all.
+// explorer's hottest operations: pricing a growth direction with probe
+// never allocates, and once the freelist is warm, growing a subgraph by one
+// op and releasing it must not allocate either.
 func TestGrowReleaseAllocFree(t *testing.T) {
 	ctx := newBlockCtx(feistelBlock(10), hwlib.Default())
 	w := ctx.seed(0)
@@ -85,6 +87,7 @@ func TestGrowReleaseAllocFree(t *testing.T) {
 	if nb < 0 {
 		t.Fatal("seed op has no neighbor to grow into")
 	}
+	ctx.loadDepths(w)
 	for i := 0; i < 4; i++ { // warm the freelist and slice capacities
 		ctx.release(ctx.grow(w, nb))
 	}
@@ -93,24 +96,52 @@ func TestGrowReleaseAllocFree(t *testing.T) {
 	}); got > 0 {
 		t.Fatalf("grow+release allocates %.1f objects/op; want 0", got)
 	}
+	if got := testing.AllocsPerRun(200, func() {
+		ctx.probe(w, nb)
+	}); got > 0 {
+		t.Fatalf("probe allocates %.1f objects/op; want 0", got)
+	}
 }
 
 // TestVisitedDupInsertAllocFree checks that re-offering an already-visited
 // subgraph to the visited set — the common case on dense blocks — is
-// allocation-free.
+// allocation-free, whether it arrives built or as a set plus the one op
+// that would grow it. It also checks that the two spellings name the same
+// subgraph and that the extra bit never leaks into the caller's set.
 func TestVisitedDupInsertAllocFree(t *testing.T) {
 	vs := newVisitedSet(4)
 	b := make(bitset, 4)
 	b[0], b[2] = 0xDEADBEEF, 1
-	if !vs.insert(b) {
+	if !vs.insert(b, -1) {
 		t.Fatal("first insert not reported new")
 	}
-	if vs.insert(b) {
+	if vs.insert(b, -1) {
 		t.Fatal("duplicate insert reported new")
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		vs.insert(b)
+		vs.insert(b, -1)
 	}); got > 0 {
 		t.Fatalf("duplicate insert allocates %.1f objects/op; want 0", got)
+	}
+
+	const extra = 64 + 7
+	if !vs.insert(b, extra) {
+		t.Fatal("set plus a new op not reported new")
+	}
+	if b.has(extra) {
+		t.Fatal("insert wrote the extra op into the caller's set")
+	}
+	grown := b.clone()
+	grown.set(extra)
+	if vs.insert(grown, -1) {
+		t.Fatal("built grown set not recognized as visited")
+	}
+	if vs.insert(b, 0) { // bit 0 is already in b: the same set as b itself
+		t.Fatal("set plus a member op not recognized as visited")
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		vs.insert(b, extra)
+	}); got > 0 {
+		t.Fatalf("duplicate set-plus-op insert allocates %.1f objects/op; want 0", got)
 	}
 }

@@ -38,7 +38,7 @@ func candidateFingerprint(res *Result) []string {
 	out := make([]string, 0, len(res.Candidates))
 	for _, c := range res.Candidates {
 		out = append(out, fmt.Sprintf("%s %v in=%d out=%d area=%.3f lat=%.3f",
-			c.Block.Name, c.Set.Sorted(), c.Inputs, c.Outputs, c.Area, c.Latency))
+			c.Block.Name, c.Ops, c.Inputs, c.Outputs, c.Area, c.Latency))
 	}
 	return out
 }
@@ -107,14 +107,14 @@ func TestStrategyInvariantsAllBenchmarks(t *testing.T) {
 			for _, c := range res.Candidates {
 				if c.Inputs > cfg.MaxInputs || c.Outputs > cfg.MaxOutputs {
 					t.Fatalf("%s/%s: candidate %v has %d/%d ports, limit %d/%d",
-						b.Name, strat, c.Set.Sorted(), c.Inputs, c.Outputs,
+						b.Name, strat, c.Ops, c.Inputs, c.Outputs,
 						cfg.MaxInputs, cfg.MaxOutputs)
 				}
-				if cfg.MaxOps > 0 && len(c.Set) > cfg.MaxOps {
+				if cfg.MaxOps > 0 && len(c.Ops) > cfg.MaxOps {
 					t.Fatalf("%s/%s: candidate with %d ops, limit %d",
-						b.Name, strat, len(c.Set), cfg.MaxOps)
+						b.Name, strat, len(c.Ops), cfg.MaxOps)
 				}
-				for idx := range c.Set {
+				for _, idx := range c.Ops {
 					if idx < 0 || idx >= len(c.Block.Ops) {
 						t.Fatalf("%s/%s: candidate references op %d outside block %s",
 							b.Name, strat, idx, c.Block.Name)

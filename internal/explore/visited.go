@@ -26,28 +26,33 @@ func newVisitedSet(words int) *visitedSet {
 	return &visitedSet{words: words, tab: make([]int32, visitedInitialSlots)}
 }
 
-// hashWords mixes the set's words into one 64-bit hash (splitmix64-style
-// finalizer per word). Deterministic across runs and platforms.
-func hashWords(b bitset) uint64 {
+// insert adds b, plus bit extra when extra >= 0, to the set, reporting
+// whether it was newly added. b must be exactly words wide. The extra bit
+// lets the explorer test cur ∪ {nb} before building the grown item; it
+// touches only the hash, the comparison and the stored copy, never b. The
+// bits are copied; b may be reused afterwards.
+func (vs *visitedSet) insert(b bitset, extra int) bool {
+	// Grow at 3/4 load to keep probe chains short.
+	if (vs.count+1)*4 >= len(vs.tab)*3 {
+		vs.grow()
+	}
+	xWord, xBit := -1, uint64(0)
+	if extra >= 0 {
+		xWord, xBit = extra>>6, uint64(1)<<(uint(extra)&63)
+	}
+	// Mix the words into one 64-bit hash (splitmix64-style finalizer per
+	// word). Deterministic across runs and platforms.
 	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range b {
+	for i, w := range b {
+		if i == xWord {
+			w |= xBit
+		}
 		h ^= w
 		h *= 0xBF58476D1CE4E5B9
 		h ^= h >> 29
 		h *= 0x94D049BB133111EB
 		h ^= h >> 32
 	}
-	return h
-}
-
-// insert adds b to the set, reporting whether it was newly added. b must be
-// exactly words wide. The bits are copied; b may be reused afterwards.
-func (vs *visitedSet) insert(b bitset) bool {
-	// Grow at 3/4 load to keep probe chains short.
-	if (vs.count+1)*4 >= len(vs.tab)*3 {
-		vs.grow()
-	}
-	h := hashWords(b)
 	mask := uint64(len(vs.tab) - 1)
 	i := h & mask
 	for {
@@ -55,11 +60,14 @@ func (vs *visitedSet) insert(b bitset) bool {
 		if e == 0 {
 			vs.tab[i] = int32(vs.count + 1)
 			vs.slab = append(vs.slab, b...)
+			if xWord >= 0 {
+				vs.slab[vs.count*vs.words+xWord] |= xBit
+			}
 			vs.hashes = append(vs.hashes, h)
 			vs.count++
 			return true
 		}
-		if idx := int(e - 1); vs.hashes[idx] == h && vs.equal(idx, b) {
+		if idx := int(e - 1); vs.hashes[idx] == h && vs.equal(idx, b, xWord, xBit) {
 			return false
 		}
 		vs.collisions++
@@ -67,10 +75,15 @@ func (vs *visitedSet) insert(b bitset) bool {
 	}
 }
 
-func (vs *visitedSet) equal(idx int, b bitset) bool {
+// equal reports whether stored set idx is b with bit xBit of word xWord
+// also set.
+func (vs *visitedSet) equal(idx int, b bitset, xWord int, xBit uint64) bool {
 	s := vs.slab[idx*vs.words : (idx+1)*vs.words]
-	for i := range b {
-		if s[i] != b[i] {
+	for i, w := range b {
+		if i == xWord {
+			w |= xBit
+		}
+		if s[i] != w {
 			return false
 		}
 	}

@@ -7,9 +7,10 @@
 //
 // Main entry points:
 //
-//   - Shape: a CFU pattern graph; FromSubgraph lifts an explored candidate
-//     out of a program; Shape.Signature is the commutativity-aware
-//     canonical key under which isomorphic candidates combine.
+//   - Shape: a CFU pattern graph; FromOps lifts an explored candidate,
+//     given as its ascending op indices, out of a block's DFG without
+//     building maps; Shape.Signature is the commutativity-aware bucket
+//     key under which isomorphic candidates combine.
 //   - Isomorphic: exact pattern equality (signature collisions re-checked).
 //   - FindMatches: all occurrences of a pattern in a block's DFG, with
 //     opcode-indexed seeding, degree/depth feasibility filters and pooled

@@ -23,9 +23,9 @@ func shaLike() (*ir.Block, *ir.DFG) {
 	return b, ir.Analyze(b)
 }
 
-func TestFromOpSet(t *testing.T) {
+func TestFromOps(t *testing.T) {
 	_, d := shaLike()
-	s, nodes, inputs := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, nodes, inputs := FromOps(d, []int{0, 1, 2})
 	if len(s.Nodes) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(s.Nodes))
 	}
@@ -50,7 +50,7 @@ func TestFromOpSet(t *testing.T) {
 
 func TestShapeEval(t *testing.T) {
 	_, d := shaLike()
-	s, _, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, _, _ := FromOps(d, []int{0, 1, 2})
 	// ((a<<3) & b) + c with a=2,b=0xFF,c=1 -> (16&255)+1 = 17; shl out = 16.
 	out := s.Eval([]uint32{2, 0xFF, 1}, []uint32{3})
 	if len(out) != 2 {
@@ -64,7 +64,7 @@ func TestShapeEval(t *testing.T) {
 
 func TestShapeCosts(t *testing.T) {
 	_, d := shaLike()
-	s, _, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, _, _ := FromOps(d, []int{0, 1, 2})
 	cm := unitCost{}
 	if got := s.Area(cm); got != 3 {
 		t.Fatalf("area = %v", got)
@@ -306,7 +306,7 @@ func TestFindMatchesNonConvexRejected(t *testing.T) {
 
 func TestFindMatchesOpAllowed(t *testing.T) {
 	_, d := shaLike()
-	p, _, _ := FromOpSet(d, ir.NewOpSet(0, 1))
+	p, _, _ := FromOps(d, []int{0, 1})
 	ms := FindMatches(d, p, MatchOptions{OpAllowed: func(i int) bool { return i != 1 }})
 	if len(ms) != 0 {
 		t.Fatal("claimed op must block the match")
@@ -382,7 +382,7 @@ func TestSubsumedVariantSemantics(t *testing.T) {
 
 func TestMnemonicAndString(t *testing.T) {
 	_, d := shaLike()
-	s, _, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, _, _ := FromOps(d, []int{0, 1, 2})
 	if s.Mnemonic() != "shl-and-add" {
 		t.Fatalf("mnemonic = %q", s.Mnemonic())
 	}
@@ -393,7 +393,7 @@ func TestMnemonicAndString(t *testing.T) {
 
 func TestWriteDOTShape(t *testing.T) {
 	_, d := shaLike()
-	s, _, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, _, _ := FromOps(d, []int{0, 1, 2})
 	var buf strings.Builder
 	if err := WriteDOT(&buf, "cfu0", s); err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestWriteDOTShape(t *testing.T) {
 
 func TestImmValues(t *testing.T) {
 	_, d := shaLike()
-	s, nodes, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	s, nodes, _ := FromOps(d, []int{0, 1, 2})
 	imms := s.ImmValues(d, nodes)
 	if len(imms) != 1 || imms[0] != 3 {
 		t.Fatalf("imms = %v, want [3]", imms)

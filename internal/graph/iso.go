@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -51,7 +51,7 @@ func (s *Shape) Signature() string {
 		rows[i] = uint64(n.Class)<<56 | (uint64(n.Code)&0xFFFF)<<40 | uint64(d&0xFFFF)<<24 |
 			uint64(ni&0xFF)<<16 | uint64(nx&0xFF)<<8 | uint64(nc&0x7F)<<1 | uint64(out)
 	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a] < rows[b] })
+	slices.Sort(rows)
 	buf := make([]byte, 0, 6+8*len(rows))
 	buf = append(buf, byte(s.NumInputs), byte(s.NumInputs>>8),
 		byte(len(s.Outputs)), byte(len(s.Outputs)>>8),

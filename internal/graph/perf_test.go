@@ -21,7 +21,7 @@ func TestFindMatchesAllocBounds(t *testing.T) {
 		Nodes:     []Node{{Code: ir.Sub, Ins: []Ref{{Kind: RefInput, Index: 0}, {Kind: RefInput, Index: 1}}}},
 		Outputs:   []int{0},
 	}
-	oneMatch, _, _ := FromOpSet(d, ir.NewOpSet(0, 1, 2))
+	oneMatch, _, _ := FromOps(d, []int{0, 1, 2})
 
 	// Warm the scratch pool.
 	FindMatches(d, noMatch, MatchOptions{})

@@ -118,7 +118,7 @@ func TestQuickVariantsValid(t *testing.T) {
 }
 
 // Property: a pattern extracted from a DFG region always matches that
-// region (FromOpSet and FindMatches are inverses), and the match evaluates
+// region (FromOps and FindMatches are inverses), and the match evaluates
 // to the same values the ops produce.
 func TestQuickExtractThenMatch(t *testing.T) {
 	f := func(seed int64) bool {
@@ -150,7 +150,7 @@ func TestQuickExtractThenMatch(t *testing.T) {
 		if !set.Convex(d) {
 			return true // extraction of non-convex regions is out of scope
 		}
-		pattern, _, _ := graphFromOpSet(d, set)
+		pattern, _, _ := FromOps(d, set.Sorted())
 		ms := FindMatches(d, pattern, MatchOptions{})
 		for _, m := range ms {
 			if m.Set.Key() == set.Key() {
@@ -162,10 +162,6 @@ func TestQuickExtractThenMatch(t *testing.T) {
 	if err := quick.Check(f, qcfg(60)); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func graphFromOpSet(d *ir.DFG, set ir.OpSet) (*Shape, []int, []ir.Operand) {
-	return FromOpSet(d, set)
 }
 
 // qcfg pins the RNG so property failures are reproducible in CI.

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -255,25 +256,38 @@ func (s *Shape) String() string {
 	return sb.String()
 }
 
-// FromOpSet extracts the pattern of the candidate subgraph set within d.
-// The second result maps each pattern node index to the block op index it
-// came from; the third lists the operand each input port binds in this
-// occurrence (parallel to port numbering).
-func FromOpSet(d *ir.DFG, set ir.OpSet) (*Shape, []int, []ir.Operand) {
-	members := set.Sorted() // block order is topological within a legal block
-	// Ensure topological order among members even if the block was edited:
-	// sort by DFG depth then index.
-	sort.SliceStable(members, func(a, b int) bool {
-		if d.Depth[members[a]] != d.Depth[members[b]] {
-			return d.Depth[members[a]] < d.Depth[members[b]]
+// FromOps extracts the pattern of the candidate subgraph whose op indices
+// within d's block are ops (in any order; read, never modified). The second
+// result maps each pattern node index to the block op index it came from;
+// the third lists the operand each input port binds in this occurrence
+// (parallel to port numbering). Nodes are ordered by DFG depth, then op
+// index, so the order is topological even if the block was edited.
+// Candidates are small, so membership is a linear scan of the member list
+// rather than a map, and all nodes' operand refs share one backing array.
+func FromOps(d *ir.DFG, ops []int) (*Shape, []int, []ir.Operand) {
+	members := slices.Clone(ops)
+	slices.SortFunc(members, func(a, b int) int {
+		if c := cmp.Compare(d.Depth[a], d.Depth[b]); c != 0 {
+			return c
 		}
-		return members[a] < members[b]
+		return cmp.Compare(a, b)
 	})
-	nodeOf := make(map[int]int, len(members))
-	for k, m := range members {
-		nodeOf[m] = k
+	nodeOf := func(a ir.Operand) int {
+		if a.Kind == ir.FromOp {
+			for k, m := range members {
+				if d.Block.Ops[m] == a.X {
+					return k
+				}
+			}
+		}
+		return -1
 	}
-	s := &Shape{}
+	nrefs := 0
+	for _, m := range members {
+		nrefs += len(d.Block.Ops[m].Args)
+	}
+	refs := make([]Ref, 0, nrefs)
+	s := &Shape{Nodes: make([]Node, len(members))}
 	var inputs []ir.Operand
 	inputSlot := func(a ir.Operand) int {
 		for k, e := range inputs {
@@ -284,27 +298,39 @@ func FromOpSet(d *ir.DFG, set ir.OpSet) (*Shape, []int, []ir.Operand) {
 		inputs = append(inputs, a)
 		return len(inputs) - 1
 	}
-	for _, m := range members {
+	for k, m := range members {
 		op := d.Block.Ops[m]
-		n := Node{Code: op.Code}
+		s.Nodes[k].Code = op.Code
+		if len(op.Args) == 0 {
+			continue // Ins stays nil: an MDES encodes it as null, not []
+		}
+		start := len(refs)
 		for _, a := range op.Args {
-			switch {
-			case a.Kind == ir.Imm:
-				n.Ins = append(n.Ins, Ref{Kind: RefImm, Index: s.NumImms})
+			if a.Kind == ir.Imm {
+				refs = append(refs, Ref{Kind: RefImm, Index: s.NumImms})
 				s.NumImms++
-			case a.Kind == ir.FromOp && set.Has(d.Pos[a.X]):
-				n.Ins = append(n.Ins, Ref{Kind: RefNode, Index: nodeOf[d.Pos[a.X]]})
-			default:
-				n.Ins = append(n.Ins, Ref{Kind: RefInput, Index: inputSlot(a)})
+			} else if n := nodeOf(a); n >= 0 {
+				refs = append(refs, Ref{Kind: RefNode, Index: n})
+			} else {
+				refs = append(refs, Ref{Kind: RefInput, Index: inputSlot(a)})
 			}
 		}
-		s.Nodes = append(s.Nodes, n)
+		s.Nodes[k].Ins = refs[start:len(refs):len(refs)]
 	}
 	s.NumInputs = len(inputs)
-	for _, o := range set.OutputOps(d) {
-		s.Outputs = append(s.Outputs, nodeOf[o])
+	// A node is an output when it produces a value that is live out of the
+	// block or read by an op outside the subgraph.
+	for k, m := range members {
+		op := d.Block.Ops[m]
+		if op.NumResults() == 0 {
+			continue
+		}
+		out := op.Dest != 0 || slices.ContainsFunc(op.Dests, func(r ir.Reg) bool { return r != 0 }) ||
+			slices.ContainsFunc(d.Users(m), func(u int) bool { return !slices.Contains(members, u) })
+		if out {
+			s.Outputs = append(s.Outputs, k)
+		}
 	}
-	sort.Ints(s.Outputs)
 	return s, members, inputs
 }
 
