@@ -36,7 +36,7 @@ func main() {
 	log.SetPrefix("iscd: ")
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	name := flag.String("name", "iscd", "replica name (appears in /healthz and keys the replica fault-injection site)")
-	jobs := flag.Int("j", 0, "pipeline token budget shared by requests and their block-exploration workers (0 = one per CPU)")
+	jobs := flag.Int("j", 0, "pipeline token budget: requests whose pipeline may run at once (0 = one per CPU)")
 	cacheEntries := flag.Int("cache", 256, "result-cache capacity in entries")
 	deadline := flag.Duration("deadline", 0, "default per-request pipeline deadline (0 = none); expiry returns a truncated best-so-far result")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight requests before giving up")

@@ -94,6 +94,10 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	defer opts.Telemetry.StartSpan("combine")()
 	var cfus []*CFU
 	bySig := make(map[string][]*CFU)
+	// About two in five candidates of a Figure-7 sweep join a CFU that
+	// already exists, so each one is built in the builder's scratch and
+	// copied out only when it opens a new CFU.
+	var sb graph.ShapeBuilder
 
 	for ci, cand := range res.Candidates {
 		if opts.Ctx != nil && ci%64 == 0 {
@@ -106,17 +110,18 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 				break
 			}
 		}
-		shape, _, _ := graph.FromOps(cand.DFG, cand.Ops)
-		occ := Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Ops, Weight: cand.Block.Weight}
-		sig := shape.Signature()
+		sb.Build(cand.DFG, cand.Ops)
+		sig := sb.Sig()
 		var home *CFU
-		for _, c := range bySig[sig] {
-			if graph.Isomorphic(c.Shape, shape) {
+		for _, c := range bySig[string(sig)] {
+			if sb.IsomorphicTo(c.Shape) {
 				home = c
 				break
 			}
 		}
 		if home == nil {
+			key := string(sig)
+			shape := sb.Detach(key)
 			home = &CFU{
 				ID:      len(cfus),
 				Shape:   shape,
@@ -125,9 +130,9 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 			}
 			home.SavedPerExec = savedPerExec(shape, lib)
 			cfus = append(cfus, home)
-			bySig[sig] = append(bySig[sig], home)
+			bySig[key] = append(bySig[key], home)
 		}
-		home.Occurrences = append(home.Occurrences, occ)
+		home.Occurrences = append(home.Occurrences, Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Ops, Weight: cand.Block.Weight})
 	}
 
 	// Drop CFUs that save nothing: a one-op CFU executes in the same cycle

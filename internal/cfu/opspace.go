@@ -24,7 +24,19 @@ type occSpan struct {
 }
 
 func newOpLayout(cfus []*CFU) *opLayout {
-	l := &opLayout{cfus: cfus, first: make([]int, len(cfus)+1)}
+	nocc, nops := 0, 0
+	for _, c := range cfus {
+		nocc += len(c.Occurrences)
+		for _, o := range c.Occurrences {
+			nops += len(o.Ops)
+		}
+	}
+	l := &opLayout{
+		cfus:  cfus,
+		first: make([]int, len(cfus)+1),
+		occs:  make([]occSpan, 0, nocc),
+		ops:   make([]int32, 0, nops),
+	}
 	base := make(map[*ir.Block]int32)
 	for i, c := range cfus {
 		for _, o := range c.Occurrences {

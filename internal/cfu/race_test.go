@@ -50,3 +50,37 @@ func TestLazyVariantsConcurrent(t *testing.T) {
 		t.Fatalf("selection after concurrent warm-up broken: %+v", sel)
 	}
 }
+
+// TestCombineConcurrent runs two programs' combinations at once, as a
+// parallel harness does, and requires each to equal its serial result.
+// Every CombinePartial call owns its shape builder; under -race this
+// catches any scratch shared between calls.
+func TestCombineConcurrent(t *testing.T) {
+	lib := hwlib.Default()
+	var results []*explore.Result
+	var want []string
+	for _, name := range []string{"sha", "blowfish"} {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := explore.Explore(b.Program, explore.DefaultConfig(lib))
+		results = append(results, res)
+		want = append(want, streamHash(res, Combine(res, lib, CombineOptions{})))
+	}
+	got := make([]string, len(results))
+	var wg sync.WaitGroup
+	for i, res := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = streamHash(res, Combine(res, lib, CombineOptions{}))
+		}()
+	}
+	wg.Wait()
+	for i := range results {
+		if got[i] != want[i] {
+			t.Errorf("program %d: concurrent combination digest %s, serial %s", i, got[i], want[i])
+		}
+	}
+}

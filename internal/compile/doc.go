@@ -6,6 +6,10 @@
 // code where necessary for correctness (§4.2) — and then runs the final
 // VLIW schedule and register allocation to produce cycle counts.
 //
+// Each block is rewritten through one workspace: its DFG, rebuilt in
+// place (ir.DFG.Reanalyze) after every replacement, and the buffers the
+// replacement's re-linearization reuses.
+//
 // Main entry points: Compile is the whole pipeline; Options toggles
 // subsumed-variant matching, opcode-class wildcard matching, and the
 // pre-matching CSE/DCE optimizer; Report carries per-block cycle

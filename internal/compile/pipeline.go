@@ -192,8 +192,10 @@ func customizeBlock(b *ir.Block, m *mdes.MDES, opMatch func(ir.Opcode, ir.Opcode
 	// The DFG depends only on the block, which changes only inside
 	// replaceMatch — so analyze once up front and re-analyze only after a
 	// successful replacement, instead of on every pattern probe. This is
-	// the dominant cost of a compile: most probes find nothing.
-	d := ir.Analyze(b)
+	// the dominant cost of a compile: most probes find nothing. The
+	// re-analysis rebuilds into the same DFG's buffers.
+	w := newBlockWork(b)
+	d := w.d
 	notClaimed := func(i int) bool { return !claimed[b.Ops[i].ID] }
 	for _, pass := range passes {
 		for _, pr := range pass {
@@ -217,10 +219,9 @@ func customizeBlock(b *ir.Block, m *mdes.MDES, opMatch func(ir.Opcode, ir.Opcode
 				for i := range match.Set {
 					claimed[b.Ops[i].ID] = true
 				}
-				if err := replaceMatch(b, d, pr.shape, match, ci); err != nil {
+				if err := w.replaceMatch(b, pr.shape, match, ci); err != nil {
 					return exact, variant, err
 				}
-				d = ir.Analyze(b)
 				perCFU[pr.spec.Name]++
 				if pr.isExact {
 					exact++

@@ -2,13 +2,53 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
+// blockWork is one block's match-and-replace workspace: the block's DFG,
+// which customizeBlock owns and rebuilds in place after each replacement,
+// and replaceMatch's collapse buffers. Nothing outside customizeBlock sees
+// the DFG, so recycling it is safe.
+type blockWork struct {
+	d        *ir.DFG
+	inSet    []bool
+	cnt32    []int32 // indeg, then succCnt
+	flags    []bool  // intoCustom, then fromCustom
+	edges    []int64
+	succFlat []int32
+	succs    [][]int32
+	nodes    []int
+	ready    []int
+	order    []int
+	// newOps receives the rewritten op order. The block takes it over, and
+	// the block's previous op slice becomes the next replacement's newOps,
+	// so the two never alias.
+	newOps []*ir.Op
+}
+
+func newBlockWork(b *ir.Block) *blockWork {
+	w := &blockWork{d: new(ir.DFG)}
+	w.d.Reanalyze(b)
+	return w
+}
+
+// reuse returns buf resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // replaceMatch rewrites block b, replacing the matched subgraph with one
-// custom instruction whose semantics evaluate the substituted pattern.
+// custom instruction whose semantics evaluate the substituted pattern, and
+// then rebuilds w.d for the new op order.
 //
 // Placement follows the paper: the custom instruction must come after every
 // predecessor of the matched ops and before every successor. The block is
@@ -16,7 +56,8 @@ import (
 // order with original position as the tie-break implements exactly the
 // paper's reorganization (successors scheduled before the last predecessor
 // are moved after it, along with the operations depending on them).
-func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, ci *ir.CustomInst) error {
+func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Match, ci *ir.CustomInst) error {
+	d := w.d
 	n := len(b.Ops)
 
 	// Build the custom op (appended; we rebuild the order below).
@@ -24,15 +65,21 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 
 	// Wire outputs: external users of each output node's value read the
 	// custom result port; live-out registers transfer to the custom op.
-	outPort := make(map[*ir.Op]int)
 	for k, nodeIdx := range pattern.Outputs {
-		op := b.Ops[m.NodeToOp[nodeIdx]]
-		outPort[op] = k
-		if op.Dest != 0 {
+		if op := b.Ops[m.NodeToOp[nodeIdx]]; op.Dest != 0 {
 			custom.Dests[k] = op.Dest
 		}
 	}
-	inSetArr := make([]bool, n)
+	outPort := func(j int) int {
+		for k, nodeIdx := range pattern.Outputs {
+			if m.NodeToOp[nodeIdx] == j {
+				return k
+			}
+		}
+		return -1
+	}
+	w.inSet = reuse(w.inSet, n)
+	inSetArr := w.inSet
 	for i := range m.Set {
 		if i >= 0 && i < n {
 			inSetArr[i] = true
@@ -52,8 +99,8 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 			if !ok || !inSet(j) {
 				continue
 			}
-			port, isOut := outPort[a.X]
-			if !isOut {
+			port := outPort(j)
+			if port < 0 {
 				return fmt.Errorf("compile: internal value of %s escapes to op %%%d", ci.Name, op.ID)
 			}
 			op.Args[ai] = custom.OutN(port)
@@ -84,13 +131,13 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 		}
 		return id
 	}
-	buf32 := make([]int32, 2*(n+1))
-	indeg := buf32[: n+1 : n+1]
-	succCnt := buf32[n+1:]
-	flags := make([]bool, 2*n+1)
-	intoCustom := flags[:n:n] // non-member p already has edge p -> custom
-	fromCustom := flags[n:]   // target already has edge custom -> target
-	edges := make([]int64, 0, 4*n)
+	w.cnt32 = reuse(w.cnt32, 2*(n+1))
+	indeg := w.cnt32[: n+1 : n+1]
+	succCnt := w.cnt32[n+1:]
+	w.flags = reuse(w.flags, 2*n+1)
+	intoCustom := w.flags[:n:n] // non-member p already has edge p -> custom
+	fromCustom := w.flags[n:]   // target already has edge custom -> target
+	edges := slices.Grow(w.edges[:0], 4*n)
 	addEdge := func(from, to int) {
 		if from == to {
 			return
@@ -121,35 +168,38 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 			addEdge(mapNode(p), mapNode(i))
 		}
 	}
+	w.edges = edges
 	// Successor lists carved from one backing array; appends below stay
 	// within the per-node capacity windows and cannot allocate.
-	succFlat := make([]int32, len(edges))
-	succs := make([][]int32, n+1)
+	w.succFlat = reuse(w.succFlat, len(edges))
+	w.succs = reuse(w.succs, n+1)
+	succs := w.succs
 	so := 0
 	for i := 0; i <= n; i++ {
-		succs[i] = succFlat[so : so : so+int(succCnt[i])]
+		succs[i] = w.succFlat[so : so : so+int(succCnt[i])]
 		so += int(succCnt[i])
 	}
 	for _, e := range edges {
 		succs[e>>32] = append(succs[e>>32], int32(e&0xFFFFFFFF))
 	}
 
-	nodes := make([]int, 0, n+1-len(m.Set))
+	nodes := slices.Grow(w.nodes[:0], n+1)
 	for i := 0; i < n; i++ {
 		if !inSet(i) {
 			nodes = append(nodes, i)
 		}
 	}
 	nodes = append(nodes, customNode)
+	w.nodes = nodes
 
 	// Kahn's algorithm with position-ordered ready set.
-	ready := make([]int, 0, len(nodes))
+	ready := slices.Grow(w.ready[:0], len(nodes))
 	for _, id := range nodes {
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
 	}
-	order := make([]int, 0, len(nodes))
+	order := slices.Grow(w.order[:0], len(nodes))
 	for len(ready) > 0 {
 		// Pick the ready node with the smallest original position.
 		bi := 0
@@ -168,11 +218,12 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 			}
 		}
 	}
+	w.ready, w.order = ready, order
 	if len(order) != len(nodes) {
 		return fmt.Errorf("compile: replacement of %s created a dependence cycle", ci.Name)
 	}
 
-	newOps := make([]*ir.Op, 0, len(order))
+	newOps := slices.Grow(w.newOps[:0], len(order))
 	for _, id := range order {
 		if id == customNode {
 			newOps = append(newOps, custom)
@@ -188,6 +239,8 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 			break
 		}
 	}
+	w.newOps = b.Ops[:0]
 	b.Ops = newOps
+	d.Reanalyze(b)
 	return nil
 }

@@ -7,11 +7,15 @@
 //
 // Main entry points:
 //
-//   - Shape: a CFU pattern graph; FromOps lifts an explored candidate,
-//     given as its ascending op indices, out of a block's DFG without
-//     building maps; Shape.Signature is the commutativity-aware bucket
-//     key under which isomorphic candidates combine.
-//   - Isomorphic: exact pattern equality (signature collisions re-checked).
+//   - Shape: a CFU pattern graph; Shape.Signature is the
+//     commutativity-aware bucket key under which isomorphic candidates
+//     combine.
+//   - ShapeBuilder: lifts an explored candidate, given as its op indices,
+//     out of a block's DFG into reused buffers without building maps;
+//     signs it, compares it with a bucket's shapes, and copies it to the
+//     heap (Detach) only when it is kept. FromOps is the one-shot form.
+//   - Isomorphic: exact pattern equality (signature collisions re-checked),
+//     allocation-free for shapes of up to 32 nodes.
 //   - FindMatches: all occurrences of a pattern in a block's DFG, with
 //     opcode-indexed seeding, degree/depth feasibility filters and pooled
 //     scratch (allocation-free probes — DESIGN.md §8).

@@ -260,35 +260,67 @@ func (s *Shape) String() string {
 // within d's block are ops (in any order; read, never modified). The second
 // result maps each pattern node index to the block op index it came from;
 // the third lists the operand each input port binds in this occurrence
-// (parallel to port numbering). Nodes are ordered by DFG depth, then op
-// index, so the order is topological even if the block was edited.
-// Candidates are small, so membership is a linear scan of the member list
-// rather than a map, and all nodes' operand refs share one backing array.
+// (parallel to port numbering). It is ShapeBuilder.Build on a fresh
+// builder, then Detach.
 func FromOps(d *ir.DFG, ops []int) (*Shape, []int, []ir.Operand) {
-	members := slices.Clone(ops)
-	slices.SortFunc(members, func(a, b int) int {
-		if c := cmp.Compare(d.Depth[a], d.Depth[b]); c != 0 {
+	var b ShapeBuilder
+	b.Build(d, ops)
+	return b.Detach(""), b.members, b.inputs
+}
+
+// ShapeBuilder lifts candidate subgraphs into patterns through buffers it
+// reuses from one Build to the next. Grouping candidates often finds a
+// shape it already has, so it builds each candidate here, looks it up by
+// Sig, compares it with IsomorphicTo, and pays for a heap copy (Detach)
+// only for a shape it keeps. The zero value is ready to use. A
+// ShapeBuilder is not safe for concurrent use.
+type ShapeBuilder struct {
+	// shape is the built pattern; its slices alias the buffers below and
+	// its signature cache stays unused.
+	shape   Shape
+	members []int
+	// memberOps[k] is the op of members[k], so membership scans compare
+	// contiguous pointers.
+	memberOps []*ir.Op
+	refs      []Ref
+	inputs    []ir.Operand
+	sig       sigScratch
+}
+
+// Build lifts the candidate subgraph whose op indices within d's block are
+// ops (in any order; read, never modified), replacing the previous build.
+// Nodes are ordered by DFG depth, then op index, so the order is
+// topological even if the block was edited. Candidates are small, so
+// membership is a linear scan of the member list rather than a map, and
+// all nodes' operand refs share one backing array.
+func (b *ShapeBuilder) Build(d *ir.DFG, ops []int) {
+	members := append(b.members[:0], ops...)
+	slices.SortFunc(members, func(x, y int) int {
+		if c := cmp.Compare(d.Depth[x], d.Depth[y]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(x, y)
 	})
+	memberOps := b.memberOps[:0]
+	nrefs := 0
+	for _, m := range members {
+		op := d.Block.Ops[m]
+		memberOps = append(memberOps, op)
+		nrefs += len(op.Args)
+	}
 	nodeOf := func(a ir.Operand) int {
 		if a.Kind == ir.FromOp {
-			for k, m := range members {
-				if d.Block.Ops[m] == a.X {
+			for k, op := range memberOps {
+				if op == a.X {
 					return k
 				}
 			}
 		}
 		return -1
 	}
-	nrefs := 0
-	for _, m := range members {
-		nrefs += len(d.Block.Ops[m].Args)
-	}
-	refs := make([]Ref, 0, nrefs)
-	s := &Shape{Nodes: make([]Node, len(members))}
-	var inputs []ir.Operand
+	refs := slices.Grow(b.refs[:0], nrefs)
+	nodes := slices.Grow(b.shape.Nodes[:0], len(members))[:len(members)]
+	inputs := b.inputs[:0]
 	inputSlot := func(a ir.Operand) int {
 		for k, e := range inputs {
 			if e.SameValue(a) {
@@ -298,40 +330,82 @@ func FromOps(d *ir.DFG, ops []int) (*Shape, []int, []ir.Operand) {
 		inputs = append(inputs, a)
 		return len(inputs) - 1
 	}
-	for k, m := range members {
-		op := d.Block.Ops[m]
-		s.Nodes[k].Code = op.Code
+	numImms := 0
+	for k, op := range memberOps {
+		nodes[k] = Node{Code: op.Code}
 		if len(op.Args) == 0 {
 			continue // Ins stays nil: an MDES encodes it as null, not []
 		}
 		start := len(refs)
 		for _, a := range op.Args {
 			if a.Kind == ir.Imm {
-				refs = append(refs, Ref{Kind: RefImm, Index: s.NumImms})
-				s.NumImms++
+				refs = append(refs, Ref{Kind: RefImm, Index: numImms})
+				numImms++
 			} else if n := nodeOf(a); n >= 0 {
 				refs = append(refs, Ref{Kind: RefNode, Index: n})
 			} else {
 				refs = append(refs, Ref{Kind: RefInput, Index: inputSlot(a)})
 			}
 		}
-		s.Nodes[k].Ins = refs[start:len(refs):len(refs)]
+		nodes[k].Ins = refs[start:len(refs):len(refs)]
 	}
-	s.NumInputs = len(inputs)
 	// A node is an output when it produces a value that is live out of the
 	// block or read by an op outside the subgraph.
-	for k, m := range members {
-		op := d.Block.Ops[m]
+	outputs := b.shape.Outputs[:0]
+	for k, op := range memberOps {
 		if op.NumResults() == 0 {
 			continue
 		}
 		out := op.Dest != 0 || slices.ContainsFunc(op.Dests, func(r ir.Reg) bool { return r != 0 }) ||
-			slices.ContainsFunc(d.Users(m), func(u int) bool { return !slices.Contains(members, u) })
+			slices.ContainsFunc(d.Users(members[k]), func(u int) bool { return !slices.Contains(members, u) })
 		if out {
-			s.Outputs = append(s.Outputs, k)
+			outputs = append(outputs, k)
 		}
 	}
-	return s, members, inputs
+	b.members, b.memberOps, b.refs, b.inputs = members, memberOps, refs, inputs
+	b.shape.Nodes, b.shape.Outputs = nodes, outputs
+	b.shape.NumInputs, b.shape.NumImms = len(inputs), numImms
+}
+
+// Sig returns the built shape's signature bytes (Shape.Signature's key).
+// The slice is the builder's buffer, valid until the next Build or Sig.
+func (b *ShapeBuilder) Sig() []byte { return b.sig.sign(&b.shape) }
+
+// IsomorphicTo reports whether the built shape is isomorphic to s, with s
+// in Isomorphic's first argument. It runs the search without Isomorphic's
+// signature filter: callers find s by the builder's own signature.
+func (b *ShapeBuilder) IsomorphicTo(s *Shape) bool {
+	ok, _, _ := isoSearch(s, &b.shape, 0)
+	return ok
+}
+
+// Detach copies the built shape to the heap, all operand refs in one
+// array. Nodes without operands keep nil Ins, and a shape without outputs
+// nil Outputs, because an MDES encodes both as null. sig, when not empty,
+// must be string(b.Sig()); it becomes the copy's cached signature.
+func (b *ShapeBuilder) Detach(sig string) *Shape {
+	src := &b.shape
+	s := &Shape{Nodes: make([]Node, len(src.Nodes)), NumInputs: src.NumInputs, NumImms: src.NumImms}
+	refs := make([]Ref, 0, len(b.refs))
+	for k, n := range src.Nodes {
+		s.Nodes[k] = Node{Code: n.Code, Class: n.Class}
+		if n.Ins != nil {
+			start := len(refs)
+			refs = append(refs, n.Ins...)
+			s.Nodes[k].Ins = refs[start:len(refs):len(refs)]
+		}
+	}
+	if len(src.Outputs) > 0 {
+		s.Outputs = slices.Clone(src.Outputs)
+	}
+	if sig != "" {
+		// A fresh pointer rather than &sig, which would move sig to the
+		// heap on every call.
+		p := new(string)
+		*p = sig
+		s.sig.Store(p)
+	}
+	return s
 }
 
 // ImmValues returns the immediate parameter values of an occurrence of s at

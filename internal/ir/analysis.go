@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DFG is the dataflow graph of one block: dependence edges between the
 // block's operations, plus the unit-latency critical-path analysis the guide
@@ -34,25 +37,81 @@ type DFG struct {
 	Slack []int
 	// CritLen is the length in ops of the longest dependence path.
 	CritLen int
+
+	// The backing arrays the per-op slices above are carved from, kept so
+	// Reanalyze can rebuild into them: edgeBuf holds Preds then Succs,
+	// dataBuf DataPreds then DataSuccs, hds Height, Depth and Slack, and
+	// codeBuf codeStart followed by its fill cursors.
+	edgeBuf, dataBuf, hds []int
+	codeBuf               []int32
+	// scratch holds the buffers only a build reads. Analyze drops them;
+	// Reanalyze keeps them for its next call.
+	scratch *analyzeScratch
+}
+
+// analyzeScratch is the working storage of one DFG build.
+type analyzeScratch struct {
+	seen  []uint64 // n×n edge-dedup bit matrix
+	cnt   []int32  // per-op pred, succ, data-pred and data-succ counts
+	edges []uint64 // flat edge list, packed from<<33 | to<<1 | data
+	loads []int    // loads since the latest store
+	indeg []int32  // topoInto's in-degrees
+	order []int    // topoInto's order
 }
 
 // Analyze builds the DFG for b's current operation order.
 func Analyze(b *Block) *DFG {
+	d := new(DFG)
+	d.build(b, new(analyzeScratch))
+	return d
+}
+
+// Reanalyze rebuilds d as the DFG of b's current operation order, reusing
+// d's buffers: once they have grown to a block's size, rebuilding for a
+// block no larger allocates nothing. The result equals Analyze(b) field for
+// field. Every slice d handed out before (Preds, Users, OpsByCode, Height
+// and the rest) is overwritten, so only a DFG's sole owner may recycle it:
+// never one that a Candidate, an Occurrence or another goroutine still
+// reads.
+func (d *DFG) Reanalyze(b *Block) {
+	if d.scratch == nil {
+		d.scratch = new(analyzeScratch)
+	}
+	d.build(b, d.scratch)
+}
+
+// reuse returns buf resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// build fills d for b, growing d's buffers and sc as needed.
+func (d *DFG) build(b *Block, sc *analyzeScratch) {
 	n := len(b.Ops)
-	hds := make([]int, 3*n)
-	d := &DFG{
-		Block:     b,
-		Pos:       make(map[*Op]int, n),
-		Preds:     make([][]int, n),
-		Succs:     make([][]int, n),
-		DataPreds: make([][]int, n),
-		Height:    hds[:n:n],
-		Depth:     hds[n : 2*n : 2*n],
-		Slack:     hds[2*n:],
+	d.Block = b
+	d.CritLen = 0
+	if d.Pos == nil {
+		d.Pos = make(map[*Op]int, n)
+	} else {
+		clear(d.Pos)
 	}
 	for i, op := range b.Ops {
 		d.Pos[op] = i
 	}
+	d.Preds = reuse(d.Preds, n)
+	d.Succs = reuse(d.Succs, n)
+	d.DataPreds = reuse(d.DataPreds, n)
+	d.DataSuccs = reuse(d.DataSuccs, n)
+	d.hds = reuse(d.hds, 3*n)
+	d.Height = d.hds[:n:n]
+	d.Depth = d.hds[n : 2*n : 2*n]
+	d.Slack = d.hds[2*n : 3*n : 3*n]
 
 	// Edges are gathered into one flat list first, then distributed into
 	// per-node slices carved from shared backing arrays — the per-node
@@ -61,13 +120,14 @@ func Analyze(b *Block) *DFG {
 	// before any ordering edge, so a unique edge's data flag is fixed at
 	// first insertion and DataPreds stays the data-restricted subsequence
 	// of Preds, exactly as incremental insertion produced.
-	seen := make([]uint64, (n*n+63)/64)
-	cnt := make([]int32, 4*n)
-	predCnt := cnt[:n:n]
-	succCnt := cnt[n : 2*n : 2*n]
-	dataCnt := cnt[2*n : 3*n : 3*n]
-	dataSuccCnt := cnt[3*n:]
-	edges := make([]uint64, 0, 4*n)
+	sc.seen = reuse(sc.seen, (n*n+63)/64)
+	seen := sc.seen
+	sc.cnt = reuse(sc.cnt, 4*n)
+	predCnt := sc.cnt[:n:n]
+	succCnt := sc.cnt[n : 2*n : 2*n]
+	dataCnt := sc.cnt[2*n : 3*n : 3*n]
+	dataSuccCnt := sc.cnt[3*n:]
+	edges := slices.Grow(sc.edges[:0], 4*n)
 	addEdge := func(from, to int, data bool) {
 		if from == to {
 			return
@@ -105,7 +165,7 @@ func Analyze(b *Block) *DFG {
 	// every earlier memory op, and a load after the latest earlier store.
 	// Custom instructions containing loads order exactly like loads.
 	lastStore := -1
-	var loadsSinceStore []int
+	loadsSinceStore := sc.loads[:0]
 	readsMemory := func(op *Op) bool {
 		return op.Code.IsLoad() || (op.Code == Custom && op.Custom != nil && op.Custom.UsesMemory)
 	}
@@ -127,6 +187,7 @@ func Analyze(b *Block) *DFG {
 			loadsSinceStore = append(loadsSinceStore, i)
 		}
 	}
+	sc.loads = loadsSinceStore
 
 	// Terminators stay last: every other op precedes the terminator.
 	for i, op := range b.Ops {
@@ -138,23 +199,23 @@ func Analyze(b *Block) *DFG {
 			}
 		}
 	}
+	sc.edges = edges
 
 	// Distribute the edge list. Each per-node slice is a zero-length,
 	// capacity-bounded window into a shared backing array, so the appends
 	// below cannot allocate and edge list order (= historical insertion
 	// order) is preserved per node. DataSuccs[i] is the data-restricted
 	// subsequence of Succs[i], matching what the old post-pass computed.
-	edgeFlat := make([]int, 2*len(edges))
-	predFlat := edgeFlat[:len(edges):len(edges)]
-	succFlat := edgeFlat[len(edges):]
+	d.edgeBuf = reuse(d.edgeBuf, 2*len(edges))
+	predFlat := d.edgeBuf[:len(edges):len(edges)]
+	succFlat := d.edgeBuf[len(edges):]
 	dataTotal := 0
 	for i := 0; i < n; i++ {
 		dataTotal += int(dataCnt[i])
 	}
-	bothData := make([]int, 2*dataTotal)
-	dataFlat := bothData[:dataTotal:dataTotal]
-	dataSuccFlat := bothData[dataTotal:]
-	d.DataSuccs = make([][]int, n)
+	d.dataBuf = reuse(d.dataBuf, 2*dataTotal)
+	dataFlat := d.dataBuf[:dataTotal:dataTotal]
+	dataSuccFlat := d.dataBuf[dataTotal:]
 	po, so, do, dso := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		d.Preds[i] = predFlat[po : po : po+int(predCnt[i])]
@@ -178,7 +239,9 @@ func Analyze(b *Block) *DFG {
 
 	// Height (reverse topological: ops are in a legal order by construction,
 	// but edits may have perturbed it, so iterate to fixpoint via DFS).
-	order := d.topo()
+	sc.indeg = reuse(sc.indeg, n)
+	sc.order = d.topoInto(sc.indeg, slices.Grow(sc.order[:0], n))
+	order := sc.order
 	for k := n - 1; k >= 0; k-- {
 		i := order[k]
 		h := 1
@@ -209,22 +272,21 @@ func Analyze(b *Block) *DFG {
 	// Opcode index: counting sort of op positions by opcode, so the
 	// matcher can seed from just the ops of one opcode.
 	const codeL = int(MaxOpcode) + 2
-	codeBuf := make([]int32, 2*codeL)
-	d.codeStart = codeBuf[:codeL:codeL]
+	d.codeBuf = reuse(d.codeBuf, 2*codeL)
+	d.codeStart = d.codeBuf[:codeL:codeL]
 	for _, op := range b.Ops {
 		d.codeStart[int(op.Code)+1]++
 	}
 	for c := 1; c < len(d.codeStart); c++ {
 		d.codeStart[c] += d.codeStart[c-1]
 	}
-	d.codeIdx = make([]int32, n)
-	fill := codeBuf[codeL:]
+	d.codeIdx = reuse(d.codeIdx, n)
+	fill := d.codeBuf[codeL:]
 	copy(fill, d.codeStart)
 	for i, op := range b.Ops {
 		d.codeIdx[fill[op.Code]] = int32(i)
 		fill[op.Code]++
 	}
-	return d
 }
 
 // OpsByCode returns the ascending op indices whose opcode is c. The slice
@@ -236,18 +298,17 @@ func (d *DFG) OpsByCode(c Opcode) []int32 {
 	return d.codeIdx[d.codeStart[c]:d.codeStart[c+1]]
 }
 
-// topo returns a topological order of the op indices. It panics if the
-// dependence graph is cyclic, which indicates a malformed block.
-func (d *DFG) topo() []int {
+// topoInto appends a topological order of the op indices to order, using
+// indeg (one zeroed entry per op) as scratch, and returns it. It panics if
+// the dependence graph is cyclic, which indicates a malformed block.
+func (d *DFG) topoInto(indeg []int32, order []int) []int {
 	n := len(d.Block.Ops)
-	indeg := make([]int32, n)
 	for i := 0; i < n; i++ {
 		indeg[i] = int32(len(d.Preds[i]))
 	}
 	// order doubles as the FIFO work queue: dequeued nodes are exactly the
 	// emitted prefix, so a head cursor over order replaces a second slice.
 	// Seeding in program order keeps output deterministic.
-	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			order = append(order, i)
@@ -269,7 +330,10 @@ func (d *DFG) topo() []int {
 }
 
 // TopoOrder returns a legal execution order of the block's op indices.
-func (d *DFG) TopoOrder() []int { return d.topo() }
+func (d *DFG) TopoOrder() []int {
+	n := len(d.Block.Ops)
+	return d.topoInto(make([]int32, n), make([]int, 0, n))
+}
 
 // Users returns, for each op index, the indices of ops that consume one of
 // its results through a data edge. The slice is shared with the DFG;

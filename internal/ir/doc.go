@@ -12,6 +12,9 @@
 //     API (Block.Add, Block.Xor, ...) for authoring kernels by hand.
 //   - Analyze: per-block DFG metadata — def/use edges, criticality (slack),
 //     longest paths — consumed by the explorer's guide function (§3.2).
+//     DFG.Reanalyze is the same build into an existing DFG's buffers, for
+//     a sole owner that edits its block, as the compiler does after every
+//     replacement.
 //   - Validate: the structural boundary guard every public pipeline entry
 //     point runs (operand counts, acyclicity, in-range references).
 //   - Optimize: CSE and dead-code elimination ahead of matching.

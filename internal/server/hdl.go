@@ -171,8 +171,6 @@ func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, bod
 	}
 	cfg := req.Config
 	cfg.Ctx = ctx
-	cfg.Workers = s.cfg.MaxConcurrent
-	cfg.Spare = s.tokens
 	cfg.Telemetry = s.tel
 	// The corpus warms /v1/hdl too (same exploration, same keys); only the
 	// X-Iscd-Corpus header is a /v1/customize-only affordance.

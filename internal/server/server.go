@@ -38,10 +38,11 @@ type Config struct {
 	// tell replicas apart when several run in one process (tests) or one
 	// host (CI smoke).
 	Name string
-	// MaxConcurrent is the pipeline token budget: the number of goroutines
-	// that may be running customization work at once, shared between
-	// admitted requests and their block-exploration workers (0 = one per
-	// CPU). Requests beyond the budget queue at admission.
+	// MaxConcurrent is the pipeline token budget: the number of requests
+	// whose pipeline may run at once (0 = one per CPU). Each admitted
+	// request holds one token and explores its blocks serially, since its
+	// context is an anytime budget. Requests beyond the budget queue at
+	// admission.
 	MaxConcurrent int
 	// CacheEntries is the LRU result-cache capacity (0 = 256).
 	CacheEntries int
@@ -508,8 +509,6 @@ func (s *Server) run(req Request, p *ir.Program, key string) (status int, body [
 
 	cfg := req.Config
 	cfg.Ctx = ctx
-	cfg.Workers = s.cfg.MaxConcurrent
-	cfg.Spare = s.tokens
 	cfg.Telemetry = s.tel
 	cfg.Corpus = s.cfg.Corpus
 
