@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -72,21 +73,18 @@ func main() {
 	goldDeadline := flag.Duration("gold-deadline", 30*time.Second, "default deadline for gold requests")
 	silverDeadline := flag.Duration("silver-deadline", 10*time.Second, "default deadline for silver requests")
 	bronzeDeadline := flag.Duration("bronze-deadline", 3*time.Second, "default deadline for bronze requests")
-	trace := flag.String("trace", "", "write a telemetry dump (JSON) to this file on shutdown")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
+	var cli core.CLI
+	cli.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
 
 	if len(replicas) == 0 {
 		log.Fatal("at least one -replica name=url is required (see -h)")
 	}
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			log.Fatalf("pprof: %v", err)
-		}
-		log.Printf("pprof listening on %s", *pprofAddr)
+	// /metrics reads the registry, so it exists with or without -trace.
+	cli.Telemetry = telemetry.New("isccluster")
+	if err := cli.Start("isccluster"); err != nil {
+		log.Fatal(err)
 	}
-
-	tel := telemetry.New("isccluster")
 	cfg := cluster.Config{
 		Replicas:         replicas,
 		Policy:           *policy,
@@ -96,7 +94,7 @@ func main() {
 		HedgeAfter:       *hedgeAfter,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooloff:   *breakerCooloff,
-		Telemetry:        tel,
+		Telemetry:        cli.Telemetry,
 	}
 	cfg.Admission.Gold.Rate = *goldRate
 	cfg.Admission.Silver.Rate = *silverRate
@@ -133,9 +131,7 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 
-	if *trace != "" {
-		if err := tel.WriteFile(*trace); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
+	if err := cli.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mdes"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -30,23 +29,16 @@ func main() {
 	variants := flag.Bool("variants", false, "enable subsumed-subgraph matching")
 	classes := flag.Bool("classes", false, "enable opcode-class wildcard matching")
 	verify := flag.Bool("verify", true, "verify transformed blocks in the functional simulator")
-	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file; a per-stage summary goes to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	var cli core.CLI
+	cli.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
 
 	if (*bench == "" && *asmPath == "") || *mdesPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			log.Fatalf("pprof: %v", err)
-		}
-		log.Printf("pprof listening on %s", *pprofAddr)
-	}
-	var tel *telemetry.Registry
-	if *trace != "" {
-		tel = telemetry.New("isccompile")
+	if err := cli.Start("isccompile"); err != nil {
+		log.Fatal(err)
 	}
 	b, err := workloads.Load(*bench, *asmPath)
 	if err != nil {
@@ -66,7 +58,7 @@ func main() {
 		UseVariants:      *variants,
 		UseOpcodeClasses: *classes,
 		Verify:           *verify,
-		Telemetry:        tel,
+		Telemetry:        cli.Telemetry,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -99,10 +91,7 @@ func main() {
 
 	// The trace dump and summary both stay off stdout, which must remain
 	// byte-identical with telemetry on or off.
-	if tel != nil {
-		if err := tel.WriteFile(*trace); err != nil {
-			log.Fatal(err)
-		}
-		tel.WriteSummary(os.Stderr)
+	if err := cli.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

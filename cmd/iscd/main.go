@@ -26,7 +26,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/corpus"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -40,39 +40,29 @@ func main() {
 	cacheEntries := flag.Int("cache", 256, "result-cache capacity in entries")
 	deadline := flag.Duration("deadline", 0, "default per-request pipeline deadline (0 = none); expiry returns a truncated best-so-far result")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight requests before giving up")
-	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file on shutdown; a per-stage summary goes to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	corpusDir := flag.String("corpus", "", "directory for the disk-backed exploration corpus; memoized per-block results persist across restarts (\"\" = no corpus)")
-	corpusEntries := flag.Int("corpus-entries", 0, "in-memory corpus LRU capacity in block entries (0 = 4096); the disk tier keeps everything")
+	var cli core.CLI
+	cli.BindFlags(flag.CommandLine, core.CorpusFlags)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			log.Fatalf("pprof: %v", err)
-		}
-		log.Printf("pprof listening on %s", *pprofAddr)
+	// /metrics reads the registry, so it exists with or without -trace.
+	cli.Telemetry = telemetry.New("iscd")
+	if err := cli.Start("iscd"); err != nil {
+		log.Fatal(err)
 	}
-	tel := telemetry.New("iscd")
 	// -corpus-entries alone still enables a memory-only corpus: useful for
 	// a single long-lived replica that wants warm-start without a disk tier.
-	var store *corpus.Corpus
-	if *corpusDir != "" || *corpusEntries > 0 {
-		c, err := corpus.Open(*corpusDir, *corpusEntries)
-		if err != nil {
-			log.Fatalf("corpus: %v", err)
-		}
-		store = c
-		s := c.Stats()
+	if cli.Corpus != nil {
+		s := cli.Corpus.Stats()
 		log.Printf("corpus: %d entries loaded (%d segments, %d bytes) from %q",
-			s.Entries, s.Segments, s.DiskBytes, *corpusDir)
+			s.Entries, s.Segments, s.DiskBytes, cli.CorpusDir)
 	}
 	srv := server.New(server.Config{
 		Name:            *name,
 		MaxConcurrent:   *jobs,
 		CacheEntries:    *cacheEntries,
 		DefaultDeadline: *deadline,
-		Telemetry:       tel,
-		Corpus:          store,
+		Telemetry:       cli.Telemetry,
+		Corpus:          cli.Corpus,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -100,16 +90,7 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Printf("corpus close: %v", err)
-		}
+	if err := cli.Close(); err != nil {
+		log.Fatal(err)
 	}
-
-	if *trace != "" {
-		if err := tel.WriteFile(*trace); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-	}
-	tel.WriteSummary(os.Stderr)
 }

@@ -10,17 +10,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
 	"repro/internal/cfu"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/hdl"
 	"repro/internal/hwlib"
 	"repro/internal/synth"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -38,25 +35,11 @@ func main() {
 	flag.IntVar(&cfg.Constraints.MaxInputs, "maxin", 5, "max CFU input ports")
 	flag.IntVar(&cfg.Constraints.MaxOutputs, "maxout", 3, "max CFU output ports")
 	flag.IntVar(&cfg.Workers, "j", 1, "worker goroutines for block-level exploration (output is identical at every setting)")
-	hwPath := flag.String("hwlib", "", "JSON hardware library, or the built-in name \"dsp16\" (16-bit-multiplier video calibration; default: the 0.18u calibration)")
 	dumpHW := flag.Bool("dumphwlib", false, "print the built-in hardware library as JSON and exit")
 	verilog := flag.String("verilog", "", "also emit the selected CFUs as Verilog to this path")
-	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file; a per-stage summary goes to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	corpusDir := flag.String("corpus", "", "disk-backed exploration corpus directory: per-block results are replayed from and persisted to it across runs, with byte-identical output (\"\" = off)")
-	corpusEntries := flag.Int("corpus-entries", 0, "in-memory corpus LRU capacity in block entries (0 = 4096)")
+	var cli core.CLI
+	cli.BindFlags(flag.CommandLine, core.CorpusFlags|core.HWLibFlag)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			log.Fatalf("pprof: %v", err)
-		}
-		log.Printf("pprof listening on %s", *pprofAddr)
-	}
-	var tel *telemetry.Registry
-	if *trace != "" {
-		tel = telemetry.New("iscgen")
-	}
 
 	if *dumpHW {
 		if err := hwlib.Default().WriteJSON(os.Stdout); err != nil {
@@ -76,32 +59,13 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	cfg.Telemetry = tel
-	cfg.Lib, err = hwlib.LoadOrDefault(openFile, *hwPath)
-	if err != nil {
+	if err := cli.Start("iscgen"); err != nil {
 		log.Fatal(err)
 	}
-	var store *corpus.Corpus
-	if *corpusDir != "" || *corpusEntries > 0 {
-		store, err = corpus.Open(*corpusDir, *corpusEntries)
-		if err != nil {
-			log.Fatalf("corpus: %v", err)
-		}
-		cfg.Corpus = store
-	}
+	cfg.Telemetry, cfg.Corpus, cfg.Lib = cli.Telemetry, cli.Corpus, cli.Lib
 	m, err := core.GenerateMDES(b.Program, cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Corpus accounting goes to stderr: stdout must stay byte-identical
-	// between cold and warm runs.
-	if store != nil {
-		s := store.Stats()
-		fmt.Fprintf(os.Stderr, "corpus: %d hits, %d misses, %d entries (%d disk segments, %d bytes)\n",
-			s.Hits, s.Misses, s.Entries, s.Segments, s.DiskBytes)
-		if err := store.Close(); err != nil {
-			log.Fatalf("corpus close: %v", err)
-		}
 	}
 
 	fmt.Fprintf(os.Stderr, "%s (%s): %d CFUs, %.2f adders of %.0f budget\n",
@@ -139,13 +103,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote Verilog datapaths to %s\n", *verilog)
 	}
 
-	// The trace dump and summary both stay off stdout, which must remain
-	// byte-identical with telemetry on or off.
-	if tel != nil {
-		if err := tel.WriteFile(*trace); err != nil {
-			log.Fatal(err)
-		}
-		tel.WriteSummary(os.Stderr)
+	// Corpus accounting, the trace dump and its summary stay off stdout,
+	// which must remain byte-identical cold or warm, traced or not.
+	if err := cli.Close(); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -173,5 +134,3 @@ func loadProgram(bench, asmPath, synthSpec string) (*workloads.Benchmark, error)
 		Description: "generated from spec " + spec.String(), Program: p,
 	}, nil
 }
-
-func openFile(path string) (io.ReadCloser, error) { return os.Open(path) }

@@ -18,9 +18,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/corpus"
+	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -40,22 +39,9 @@ func main() {
 	h.BindFlags(flag.CommandLine)
 	budget := flag.Float64("budget", 15, "cost point for the extension study")
 	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
-	trace := flag.String("trace", "", "write a structured telemetry dump (JSON) to this file; a per-stage summary goes to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	corpusDir := flag.String("corpus", "", "disk-backed exploration corpus directory: studies replay previously explored blocks across runs, with byte-identical output (\"\" = off)")
-	corpusEntries := flag.Int("corpus-entries", 0, "in-memory corpus LRU capacity in block entries (0 = 4096)")
+	var cli core.CLI
+	cli.BindFlags(flag.CommandLine, core.CorpusFlags)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			log.Fatalf("pprof: %v", err)
-		}
-		log.Printf("pprof listening on %s", *pprofAddr)
-	}
-	var tel *telemetry.Registry
-	if *trace != "" {
-		tel = telemetry.New("iscstudy")
-	}
 
 	if *all {
 		*fig3, *fig89, *limit, *ablate, *multifunc, *unroll, *memcfu, *shootout = true, true, true, true, true, true, true, true
@@ -67,16 +53,10 @@ func main() {
 	if err := h.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	h.Telemetry = tel
-	var store *corpus.Corpus
-	if *corpusDir != "" || *corpusEntries > 0 {
-		c, err := corpus.Open(*corpusDir, *corpusEntries)
-		if err != nil {
-			log.Fatalf("corpus: %v", err)
-		}
-		store = c
-		h.Corpus = store
+	if err := cli.Start("iscstudy"); err != nil {
+		log.Fatal(err)
 	}
+	h.Telemetry, h.Corpus = cli.Telemetry, cli.Corpus
 	start := time.Now()
 
 	// A failing benchmark no longer aborts a study: its rows are skipped by
@@ -186,32 +166,19 @@ func main() {
 			fmt.Println()
 		}
 	}
-	// Timing and corpus accounting go to stderr so stdout stays
-	// byte-identical across -j and across cold/warm corpus runs.
-	// Aggregate/wall is the mean number of pool jobs working at once (time
-	// blocked on another job's memo or selection lock excluded): an upper
-	// bound on the speedup over a -j 1 run, which only timing -j 1 gives.
-	if store != nil {
-		s := store.Stats()
-		log.Printf("corpus: %d hits, %d misses, %d entries (%d disk segments, %d bytes)",
-			s.Hits, s.Misses, s.Entries, s.Segments, s.DiskBytes)
-		if err := store.Close(); err != nil {
-			log.Printf("corpus close: %v", err)
-		}
-	}
+	// Timing, corpus accounting and the trace summary go to stderr so
+	// stdout stays byte-identical across -j, across cold/warm corpus runs
+	// and with telemetry on or off. Aggregate/wall is the mean number of
+	// pool jobs working at once (time blocked on another job's memo or
+	// selection lock excluded): an upper bound on the speedup over a -j 1
+	// run, which only timing -j 1 gives.
 	elapsed := time.Since(start)
 	agg := h.AggregateJobTime()
 	log.Printf("wall-clock %v for %v of pool-job work: %.2f jobs working on average",
 		elapsed.Round(time.Millisecond), agg.Round(time.Millisecond),
 		float64(agg)/float64(elapsed))
-
-	// The trace dump and summary both stay off stdout, which must remain
-	// byte-identical with telemetry on or off.
-	if tel != nil {
-		if err := tel.WriteFile(*trace); err != nil {
-			log.Fatal(err)
-		}
-		tel.WriteSummary(os.Stderr)
+	if err := cli.Close(); err != nil {
+		log.Fatal(err)
 	}
 	if failed {
 		os.Exit(1)
