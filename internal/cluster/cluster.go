@@ -373,9 +373,9 @@ type corpusReplica struct {
 // corpus shard map — one program's blocks always land on (and therefore
 // warm) the same replica — so the aggregate totals below describe one
 // logical corpus sharded across the fleet. The endpoint fans out to every
-// replica concurrently and sums entries, hits, misses, inserts, and disk
-// accounting over the replicas that answered; unreachable replicas are
-// reported per-row rather than failing the whole view.
+// replica concurrently and sums every counter of corpus.Stats over the
+// replicas that answered; unreachable replicas are reported per-row rather
+// than failing the whole view.
 func (c *Cluster) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		clusterWriteError(w, http.StatusMethodNotAllowed, "want GET")
@@ -402,11 +402,13 @@ func (c *Cluster) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		enabled++
 		total.Entries += st.Entries
 		total.MaxEntries += st.MaxEntries
-		total.ShapeClasses += st.ShapeClasses
+		total.Candidates += st.Candidates
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Inserts += st.Inserts
 		total.Evictions += st.Evictions
+		total.Loaded += st.Loaded
+		total.LoadErrors += st.LoadErrors
 		total.AppendErrors += st.AppendErrors
 		total.Segments += st.Segments
 		total.DiskBytes += st.DiskBytes

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +99,24 @@ func TestClusterCorpusShardingAndAggregation(t *testing.T) {
 	for _, row := range view.Replicas {
 		if row.Error != "" || !row.Enabled || row.Stats == nil {
 			t.Fatalf("replica row %+v, want enabled with stats", row)
+		}
+	}
+	// Every numeric field of the total is the sum of the replica rows,
+	// found by reflection so a new Stats field cannot be left out.
+	total := reflect.ValueOf(view.Total)
+	for i := 0; i < total.NumField(); i++ {
+		f := total.Type().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+		default:
+			continue
+		}
+		var sum int64
+		for _, row := range view.Replicas {
+			sum += reflect.ValueOf(*row.Stats).Field(i).Int()
+		}
+		if got := total.Field(i).Int(); got != sum {
+			t.Errorf("total.%s = %d, want the replica sum %d", f.Name, got, sum)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package corpus
 import (
 	"container/list"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -31,10 +30,6 @@ type Candidate struct {
 	LatencyBits uint64 `json:"l"`
 	Inputs      int    `json:"i"`
 	Outputs     int    `json:"o"`
-	// Shape is the candidate's canonical isomorphism-class hash
-	// (ir.SubgraphFingerprint), used for cross-program aggregation only —
-	// replay correctness never depends on it.
-	Shape string `json:"s,omitempty"`
 }
 
 // Area returns the candidate's die area in adder units.
@@ -42,16 +37,6 @@ func (c *Candidate) Area() float64 { return math.Float64frombits(c.AreaBits) }
 
 // Latency returns the candidate's critical-path delay in cycles.
 func (c *Candidate) Latency() float64 { return math.Float64frombits(c.LatencyBits) }
-
-// Savings returns the estimated cycles saved per execution were the
-// candidate a CFU: one issue slot per member versus ceil(latency) cycles.
-func (c *Candidate) Savings() int {
-	cyc := int(math.Ceil(c.Latency()))
-	if cyc < 1 {
-		cyc = 1
-	}
-	return len(c.Members) - cyc
-}
 
 // Entry is the memoized outcome of exploring one block under one
 // configuration: the recorded candidates in recording order, plus the
@@ -62,14 +47,6 @@ type Entry struct {
 	Pruned     int         `json:"p"`
 }
 
-// shapeAgg accumulates per-isomorphism-class statistics across every
-// entry currently in memory.
-type shapeAgg struct {
-	count   int
-	savings int
-	minArea float64
-}
-
 // Corpus is a two-tier memo of explored blocks: a bounded in-memory LRU in
 // front of an optional append-only disk store. All methods are safe for
 // concurrent use.
@@ -78,8 +55,7 @@ type Corpus struct {
 	maxEntries int
 	entries    map[string]*list.Element // key → *lruItem element
 	order      *list.List               // front = most recently used
-	shapes     map[string]*shapeAgg
-	disk       *diskStore // nil = memory only
+	disk       *diskStore               // nil = memory only
 	tel        *telemetry.Registry
 
 	hits, misses, inserts, evictions int64
@@ -110,7 +86,6 @@ func Open(dir string, maxEntries int) (*Corpus, error) {
 		maxEntries: maxEntries,
 		entries:    make(map[string]*list.Element),
 		order:      list.New(),
-		shapes:     make(map[string]*shapeAgg),
 	}
 	if dir == "" {
 		return c, nil
@@ -176,108 +151,44 @@ func (c *Corpus) Insert(key Key, e *Entry) {
 // Callers hold c.mu.
 func (c *Corpus) install(ks string, e *Entry) {
 	if el, ok := c.entries[ks]; ok {
-		c.unaccountShapes(el.Value.(*lruItem).e)
 		el.Value.(*lruItem).e = e
 		c.order.MoveToFront(el)
-		c.accountShapes(e)
 		return
 	}
 	c.entries[ks] = c.order.PushFront(&lruItem{key: ks, e: e})
-	c.accountShapes(e)
 	for c.order.Len() > c.maxEntries {
 		back := c.order.Back()
 		it := back.Value.(*lruItem)
-		c.unaccountShapes(it.e)
 		c.order.Remove(back)
 		delete(c.entries, it.key)
 		c.evictions++
 	}
 }
 
-func (c *Corpus) accountShapes(e *Entry) {
-	for i := range e.Candidates {
-		cand := &e.Candidates[i]
-		if cand.Shape == "" {
-			continue
-		}
-		agg := c.shapes[cand.Shape]
-		if agg == nil {
-			agg = &shapeAgg{minArea: math.Inf(1)}
-			c.shapes[cand.Shape] = agg
-		}
-		agg.count++
-		agg.savings += cand.Savings()
-		if a := cand.Area(); a < agg.minArea {
-			agg.minArea = a
-		}
-	}
-}
-
-func (c *Corpus) unaccountShapes(e *Entry) {
-	for i := range e.Candidates {
-		cand := &e.Candidates[i]
-		if cand.Shape == "" {
-			continue
-		}
-		agg := c.shapes[cand.Shape]
-		if agg == nil {
-			continue
-		}
-		agg.count--
-		agg.savings -= cand.Savings()
-		if agg.count <= 0 {
-			delete(c.shapes, cand.Shape)
-		}
-		// minArea is not recomputed on eviction: it stays a lower bound,
-		// which is all the stats endpoint claims.
-	}
-}
-
-// ShapeStat summarizes one candidate isomorphism class currently resident
-// in memory.
-type ShapeStat struct {
-	// Shape is the canonical subgraph hash (ir.SubgraphFingerprint).
-	Shape string `json:"shape"`
-	// Count is how many memoized candidates share the shape.
-	Count int `json:"count"`
-	// Savings is the summed per-execution cycle savings over those
-	// candidates.
-	Savings int `json:"savings"`
-	// MinArea is the smallest area (adder units) seen for the shape.
-	MinArea float64 `json:"min_area"`
-}
-
 // Stats is a point-in-time snapshot of the corpus.
 type Stats struct {
-	Dir          string      `json:"dir,omitempty"`
-	Entries      int         `json:"entries"`
-	MaxEntries   int         `json:"max_entries"`
-	Candidates   int         `json:"candidates"`
-	ShapeClasses int         `json:"shape_classes"`
-	Hits         int64       `json:"hits"`
-	Misses       int64       `json:"misses"`
-	Inserts      int64       `json:"inserts"`
-	Evictions    int64       `json:"evictions"`
-	Loaded       int64       `json:"loaded"`
-	LoadErrors   int         `json:"load_errors"`
-	AppendErrors int         `json:"append_errors"`
-	Segments     int         `json:"segments"`
-	DiskBytes    int64       `json:"disk_bytes"`
-	TopShapes    []ShapeStat `json:"top_shapes,omitempty"`
+	Dir          string `json:"dir,omitempty"`
+	Entries      int    `json:"entries"`
+	MaxEntries   int    `json:"max_entries"`
+	Candidates   int    `json:"candidates"`
+	Hits         int64  `json:"hits"`
+	Misses       int64  `json:"misses"`
+	Inserts      int64  `json:"inserts"`
+	Evictions    int64  `json:"evictions"`
+	Loaded       int64  `json:"loaded"`
+	LoadErrors   int    `json:"load_errors"`
+	AppendErrors int    `json:"append_errors"`
+	Segments     int    `json:"segments"`
+	DiskBytes    int64  `json:"disk_bytes"`
 }
 
-// maxTopShapes bounds the shape leaderboard in Stats.
-const maxTopShapes = 8
-
-// Stats returns a snapshot of sizes, counters, and the highest-savings
-// isomorphism classes.
+// Stats returns a snapshot of sizes and counters.
 func (c *Corpus) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
 		Entries:      c.order.Len(),
 		MaxEntries:   c.maxEntries,
-		ShapeClasses: len(c.shapes),
 		Hits:         c.hits,
 		Misses:       c.misses,
 		Inserts:      c.inserts,
@@ -288,24 +199,6 @@ func (c *Corpus) Stats() Stats {
 	}
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		s.Candidates += len(el.Value.(*lruItem).e.Candidates)
-	}
-	for shape, agg := range c.shapes {
-		s.TopShapes = append(s.TopShapes, ShapeStat{
-			Shape: shape, Count: agg.count, Savings: agg.savings, MinArea: agg.minArea,
-		})
-	}
-	sort.Slice(s.TopShapes, func(i, j int) bool {
-		a, b := s.TopShapes[i], s.TopShapes[j]
-		if a.Savings != b.Savings {
-			return a.Savings > b.Savings
-		}
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		return a.Shape < b.Shape
-	})
-	if len(s.TopShapes) > maxTopShapes {
-		s.TopShapes = s.TopShapes[:maxTopShapes]
 	}
 	if c.disk != nil {
 		s.Dir = c.disk.dir

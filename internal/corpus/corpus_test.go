@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,7 +18,6 @@ func testEntry(members []int, area, lat float64) *Entry {
 			AreaBits:    math.Float64bits(area),
 			LatencyBits: math.Float64bits(lat),
 			Inputs:      2, Outputs: 1,
-			Shape: "shape-" + string(rune('a'+members[0])),
 		}},
 		Examined: 10, Pruned: 3,
 	}
@@ -49,10 +49,6 @@ func TestCorpusLRUEviction(t *testing.T) {
 	s := c.Stats()
 	if s.Entries != 2 || s.Evictions != 1 {
 		t.Fatalf("entries=%d evictions=%d, want 2 and 1", s.Entries, s.Evictions)
-	}
-	// The evicted entry's shape class must leave the aggregation with it.
-	if s.ShapeClasses != 2 {
-		t.Fatalf("shape classes = %d, want 2 after eviction", s.ShapeClasses)
 	}
 	if s.Hits != 3 || s.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 3 and 1", s.Hits, s.Misses)
@@ -92,6 +88,50 @@ func TestCorpusDiskRoundTrip(t *testing.T) {
 	s := c2.Stats()
 	if s.Loaded != 2 || s.LoadErrors != 0 {
 		t.Fatalf("loaded=%d loadErrors=%d, want 2 and 0", s.Loaded, s.LoadErrors)
+	}
+}
+
+// TestCorpusLoadsShapeHashedRecords reopens a segment in the record
+// schema of stores written before candidates lost their shape hash: each
+// candidate carries an extra "s" field. The records must load without
+// error and replay the same members and cost bits.
+func TestCorpusLoadsShapeHashedRecords(t *testing.T) {
+	dir := t.TempDir()
+	seg := []byte(segMagic)
+	for _, rec := range []string{
+		`{"k":"blka|cfg","e":{"c":[{"m":[2,3],"a":4607272490792564818,"l":4599075939470750515,"i":1,"o":1,"s":"348f24ba63471918b80ccb89b5ec54e0f4eca40cde866b9a9f279c97f7654e4b"},{"m":[3,4],"a":4611686018427387904,"l":4603579539098121011,"i":3,"o":1,"s":"dd203f8e07b1fc2f1e07564b017db317278f020aafb7d1f8dcd9a8f978597008"}],"e":12,"p":4}}`,
+		`{"k":"blkb|cfg","e":{"c":[{"m":[4,7],"a":4607272490792564818,"l":4599075939470750515,"i":2,"o":2,"s":"c8cc5fd25d4d80a82e6241000c875f0c8f72370342190bcc577f6f2fbff44fc4"}],"e":3,"p":1}}`,
+	} {
+		seg = appendFrame(seg, []byte(rec))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if s := c.Stats(); s.LoadErrors != 0 || s.Loaded != 2 {
+		t.Fatalf("loaded=%d loadErrors=%d, want 2 and 0", s.Loaded, s.LoadErrors)
+	}
+	want := map[Key][]Candidate{
+		key(0): {
+			{Members: []int{2, 3}, AreaBits: 4607272490792564818, LatencyBits: 4599075939470750515, Inputs: 1, Outputs: 1},
+			{Members: []int{3, 4}, AreaBits: 4611686018427387904, LatencyBits: 4603579539098121011, Inputs: 3, Outputs: 1},
+		},
+		key(1): {
+			{Members: []int{4, 7}, AreaBits: 4607272490792564818, LatencyBits: 4599075939470750515, Inputs: 2, Outputs: 2},
+		},
+	}
+	for k, cands := range want {
+		e, ok := c.Lookup(k)
+		if !ok {
+			t.Fatalf("%v not loaded", k)
+		}
+		if !reflect.DeepEqual(e.Candidates, cands) {
+			t.Fatalf("%v replays %+v, want %+v", k, e.Candidates, cands)
+		}
 	}
 }
 

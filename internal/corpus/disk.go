@@ -225,10 +225,7 @@ func (d *diskStore) append(key string, e *Entry) error {
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
+	frame := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	if _, err := d.f.Write(frame); err != nil {
 		return err
 	}
@@ -240,6 +237,14 @@ func (d *diskStore) append(key string, e *Entry) error {
 		return err
 	}
 	return nil
+}
+
+// appendFrame appends one record frame to dst: the payload's length and
+// CRC32, little-endian, then the payload itself.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 func (d *diskStore) close() error {

@@ -28,15 +28,10 @@
 // associative, so a recompute-from-members could differ in the last ulp
 // and break the warm-equals-cold byte-identity guarantee downstream.
 //
-// Each candidate also carries its canonical shape hash
-// (ir.SubgraphFingerprint), which names the candidate's isomorphism class:
-// the same MAC kernel appearing in different blocks, programs, or register
-// namings hashes identically. The hash refines the same equivalence
-// classes as graph.Shape.Signature uses for its non-isomorphism prefilter
-// (equal fingerprints imply equal signatures), so corpus shape statistics
-// and the combiner's shape buckets describe the same partition of the
-// candidate space. The corpus aggregates per-shape counts, cycle savings,
-// and area into Stats for the /v1/corpus endpoint.
+// Grouping candidates by isomorphism is not the corpus's job: combine does
+// it once per run through graph.Shape. Records written when candidates
+// still carried a shape hash (an "s" field) load unchanged, because
+// decoding ignores fields it does not know.
 //
 // # Storage
 //

@@ -24,7 +24,7 @@ func fuzzSeedSegment(t interface {
 			Members:     []int{0, 2, 5},
 			AreaBits:    math.Float64bits(1.27),
 			LatencyBits: math.Float64bits(0.45),
-			Inputs:      3, Outputs: 1, Shape: "abc123",
+			Inputs:      3, Outputs: 1,
 		}},
 		Examined: 42, Pruned: 7,
 	})

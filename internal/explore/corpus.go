@@ -149,8 +149,7 @@ func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 }
 
 // buildEntry converts one block's freshly recorded candidates into their
-// memoized form, stamping each with its canonical shape hash for the
-// corpus's cross-program isomorphism-class statistics.
+// memoized form: member indices, exact area and latency bits, and ports.
 func buildEntry(cands []Candidate, examined, pruned int) *corpus.Entry {
 	e := &corpus.Entry{Examined: examined, Pruned: pruned}
 	if len(cands) > 0 {
@@ -164,7 +163,6 @@ func buildEntry(cands []Candidate, examined, pruned int) *corpus.Entry {
 			LatencyBits: math.Float64bits(c.Latency),
 			Inputs:      c.Inputs,
 			Outputs:     c.Outputs,
-			Shape:       ir.SubgraphFingerprint(c.Block, ir.NewOpSet(c.Ops...)),
 		}
 	}
 	return e

@@ -47,8 +47,8 @@ func TestCorpusWarmHitsEveryBlock(t *testing.T) {
 			t.Fatalf("candidate %d differs between warm and cold", i)
 		}
 	}
-	if s := c.Stats(); s.ShapeClasses == 0 {
-		t.Fatal("inserted entries carry no shape classes")
+	if s := c.Stats(); s.Candidates != len(cold.Candidates) {
+		t.Fatalf("corpus holds %d candidates, cold run recorded %d", s.Candidates, len(cold.Candidates))
 	}
 }
 

@@ -28,28 +28,20 @@ func fingerprintProgram(blocks, rounds int) *Program {
 	return p
 }
 
-// BenchmarkFingerprint measures hashing at the two granularities the
-// system uses it: whole programs with the exact program hash (the iscd
-// cache key and the cluster routing key, once per request) and candidate
-// subgraphs with the canonical shape hash (the corpus shape key, once per
-// recorded candidate). Tracked by the bench-guard baseline with an alloc
-// floor: the pooled-buffer hashers must not regress to per-op allocation.
+// BenchmarkFingerprint measures the exact program hash on a mid-sized
+// program: the iscd cache key and the cluster routing key, computed once
+// per request. Its alloc row in .github/alloc-max.txt keeps the
+// pooled-buffer hasher from regressing to per-op allocation. One call
+// before the timer fills the sync.Pool, so the figure never counts the
+// one-off ~32 KB buffer a cold pool allocates.
 func BenchmarkFingerprint(b *testing.B) {
 	p := fingerprintProgram(8, 24)
 	b.Run("program", func(b *testing.B) {
 		b.ReportAllocs()
+		Fingerprint(p)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if Fingerprint(p) == "" {
-				b.Fatal("empty fingerprint")
-			}
-		}
-	})
-	blk := p.Blocks[0]
-	set := NewOpSet(0, 1, 2, 3, 4, 5, 6, 7)
-	b.Run("subgraph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if SubgraphFingerprint(blk, set) == "" {
 				b.Fatal("empty fingerprint")
 			}
 		}

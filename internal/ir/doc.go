@@ -22,8 +22,7 @@
 //     block hashes — the one program identity behind the customization
 //     service's result cache (internal/server), the cluster's routing ring
 //     (internal/cluster) and the exploration corpus's block key
-//     (internal/corpus). SubgraphFingerprint is the separate canonical
-//     shape hash of a candidate subgraph.
+//     (internal/corpus).
 //   - Unroll: the loop-unrolling transform of the paper's §2 discussion.
 //   - WriteDot: Graphviz export with matched CFUs shaded (cmd/iscdot).
 package ir

@@ -274,7 +274,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "iscd_corpus_misses %d\n", cs.Misses)
 		fmt.Fprintf(&sb, "iscd_corpus_inserts %d\n", cs.Inserts)
 		fmt.Fprintf(&sb, "iscd_corpus_evictions %d\n", cs.Evictions)
-		fmt.Fprintf(&sb, "iscd_corpus_shape_classes %d\n", cs.ShapeClasses)
 		fmt.Fprintf(&sb, "iscd_corpus_segments %d\n", cs.Segments)
 		fmt.Fprintf(&sb, "iscd_corpus_disk_bytes %d\n", cs.DiskBytes)
 		fmt.Fprintf(&sb, "iscd_corpus_append_errors %d\n", cs.AppendErrors)
@@ -371,10 +370,10 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCorpus is GET /v1/corpus: the exploration corpus's statistics —
-// occupancy, hit/miss/insert/eviction counters, disk segment accounting,
-// and the top isomorphism classes by accumulated savings. A server with no
-// corpus attached reports {"enabled": false} rather than 404 so probes can
-// tell "no corpus" from "no such replica".
+// occupancy, hit/miss/insert/eviction counters, load errors and disk
+// segment accounting. A server with no corpus attached reports
+// {"enabled": false} rather than 404 so probes can tell "no corpus" from
+// "no such replica".
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "want GET")
