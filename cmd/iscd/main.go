@@ -53,8 +53,8 @@ func main() {
 	// a single long-lived replica that wants warm-start without a disk tier.
 	if cli.Corpus != nil {
 		s := cli.Corpus.Stats()
-		log.Printf("corpus: %d entries loaded (%d segments, %d bytes) from %q",
-			s.Entries, s.Segments, s.DiskBytes, cli.CorpusDir)
+		log.Printf("corpus: %d entries loaded, %d load errors; %d held (%d segments, %d bytes) from %q",
+			s.Loaded, s.LoadErrors, s.Entries, s.Segments, s.DiskBytes, cli.CorpusDir)
 	}
 	srv := server.New(server.Config{
 		Name:            *name,

@@ -31,7 +31,7 @@ func exploreTwin(t *testing.T) *explore.Result {
 func TestCombineGroupsIsomorphs(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	if len(cfus) == 0 {
 		t.Fatal("no CFUs")
 	}
@@ -62,7 +62,7 @@ func TestCombineGroupsIsomorphs(t *testing.T) {
 func TestCombineDropsWorthlessCFUs(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	for _, c := range cfus {
 		if c.SavedPerExec <= 0 {
 			t.Fatalf("CFU %s saves %v cycles per exec; should be dropped",
@@ -74,7 +74,7 @@ func TestCombineDropsWorthlessCFUs(t *testing.T) {
 func TestSubsumptionRecorded(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	var chain, sub *CFU
 	for _, c := range cfus {
 		switch c.Shape.Mnemonic() {
@@ -106,7 +106,7 @@ func TestWildcardsRecorded(t *testing.T) {
 	p.Blocks = append(p.Blocks, b)
 	res := explore.Explore(p, explore.DefaultConfig(hwlib.Default()))
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	var andAdd, andSub *CFU
 	for _, c := range cfus {
 		switch c.Shape.Mnemonic() {
@@ -128,7 +128,7 @@ func TestWildcardsRecorded(t *testing.T) {
 func TestGreedySelectionRespectsBudget(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	for _, budget := range []float64{0.5, 1, 2, 5, 15} {
 		sel := Select(cfus, SelectOptions{Budget: budget})
 		if sel.TotalArea > budget+1e-9 {
@@ -140,7 +140,7 @@ func TestGreedySelectionRespectsBudget(t *testing.T) {
 func TestSelectionUpdatesValues(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	sel := Select(cfus, SelectOptions{Budget: 15})
 	// The shl-and-add chain claims its ops; the shl-and prefix must not be
 	// selected afterwards since its occurrences fully overlap.
@@ -156,7 +156,7 @@ func TestSelectionUpdatesValues(t *testing.T) {
 func TestSelectionMonotoneInBudget(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	prev := -1.0
 	for _, budget := range []float64{0.5, 1, 2, 4, 8, 15} {
 		sel := Select(cfus, SelectOptions{Budget: budget})
@@ -171,7 +171,7 @@ func TestSelectionMonotoneInBudget(t *testing.T) {
 func TestKnapsackSelection(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	g := Select(cfus, SelectOptions{Budget: 3, Mode: GreedyRatio})
 	k := Select(cfus, SelectOptions{Budget: 3, Mode: Knapsack})
 	if k.TotalArea > 3+1e-9 {
@@ -185,7 +185,7 @@ func TestKnapsackSelection(t *testing.T) {
 func TestGreedyValueMode(t *testing.T) {
 	res := exploreTwin(t)
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	v := Select(cfus, SelectOptions{Budget: 15, Mode: GreedyValue})
 	if len(v.CFUs) == 0 {
 		t.Fatal("greedy-value selected nothing")
@@ -211,7 +211,7 @@ func TestSubsumedDiscountApplied(t *testing.T) {
 	p.Blocks = append(p.Blocks, blkA, blkB)
 	res := explore.Explore(p, explore.DefaultConfig(hwlib.Default()))
 	cfus := Combine(res, hwlib.Default(), CombineOptions{})
-	AnalyzeRelationships(cfus, hwlib.Default(), CombineOptions{})
+	AnalyzeRelationships(cfus, hwlib.Default())
 	var bigC, smallC *CFU
 	for _, c := range cfus {
 		switch c.Shape.Mnemonic() {

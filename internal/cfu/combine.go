@@ -62,12 +62,6 @@ func (c *CFU) Name() string { return fmt.Sprintf("cfu%d<%s>", c.ID, c.Shape.Mnem
 
 // CombineOptions tunes the combination stage.
 type CombineOptions struct {
-	// MaxVariants caps per-CFU subsumed-variant generation (0 = 64).
-	MaxVariants int
-	// MinSavedPerExec drops CFUs that save fewer cycles than this per
-	// execution (default 0: keep anything that saves at least one cycle
-	// per execution after rounding).
-	MinSavedPerExec float64
 	// Telemetry, when non-nil, receives the combine span and the
 	// candidate-in/CFU-out counters.
 	Telemetry *telemetry.Registry
@@ -139,7 +133,7 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	// count as the op itself.
 	kept := cfus[:0]
 	for _, c := range cfus {
-		if c.SavedPerExec > opts.MinSavedPerExec && c.SavedPerExec > 0 {
+		if c.SavedPerExec > 0 {
 			c.ID = len(kept)
 			kept = append(kept, c)
 		}
@@ -162,9 +156,9 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 // subsumption and wildcard links for every CFU. The selection stage does
 // this lazily for the handful of CFUs it picks; call this eagerly only when
 // the whole candidate list must carry its relationships (reports, tests).
-func AnalyzeRelationships(cfus []*CFU, lib *hwlib.Library, opts CombineOptions) {
+func AnalyzeRelationships(cfus []*CFU, lib *hwlib.Library) {
 	for _, c := range cfus {
-		ensureVariants(c, opts.MaxVariants)
+		ensureVariants(c)
 	}
 	rel := newRelationIndex(cfus)
 	for _, c := range cfus {
@@ -173,7 +167,10 @@ func AnalyzeRelationships(cfus []*CFU, lib *hwlib.Library, opts CombineOptions) 
 	}
 }
 
-func ensureVariants(c *CFU, maxVariants int) {
+// maxVariants caps the subsumed variants generated for one CFU.
+const maxVariants = 64
+
+func ensureVariants(c *CFU) {
 	c.variantsOnce.Do(func() {
 		if c.Variants != nil {
 			return // pre-populated (e.g. decoded from an MDES)
@@ -230,7 +227,7 @@ func (r *relationIndex) subsumptionFor(a *CFU) {
 		return
 	}
 	r.subsDone[a.ID] = true
-	ensureVariants(a, 0)
+	ensureVariants(a)
 	for _, v := range a.Variants {
 		for _, b := range r.bySig[v.Signature()] {
 			if b == a || len(b.Shape.Nodes) >= len(a.Shape.Nodes) {

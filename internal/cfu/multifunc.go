@@ -8,6 +8,10 @@ import (
 	"repro/internal/hwlib"
 )
 
+// multiFunctionTopK bounds how many candidates, by value, BuildMultiFunction
+// pairs.
+const multiFunctionTopK = 200
+
 // BuildMultiFunction implements the paper's proposed future work of
 // "incorporating multi-function CFUs into the selection process": for every
 // wildcard pair among the most valuable candidates, it synthesizes a merged
@@ -17,23 +21,20 @@ import (
 // one multi-function unit against two single-function ones on equal terms.
 //
 // The returned slice contains the original candidates followed by the
-// merged ones (with fresh IDs). topK bounds how many candidates, by value,
-// participate in pairing (0 = 200).
+// merged ones (with fresh IDs). Only the multiFunctionTopK most valuable
+// candidates participate in pairing.
 //
 // Pairing records wildcard links on the input candidates, so — like
 // Select — concurrent calls over the same candidate slice must be
 // serialized by the caller.
-func BuildMultiFunction(cfus []*CFU, lib *hwlib.Library, topK int) []*CFU {
-	if topK == 0 {
-		topK = 200
-	}
+func BuildMultiFunction(cfus []*CFU, lib *hwlib.Library) []*CFU {
 	// Pair only the most valuable candidates: merging the long tail costs
 	// quadratic isomorphism checks for units that would never be selected.
 	top := make([]*CFU, len(cfus))
 	copy(top, cfus)
 	sort.Slice(top, func(a, b int) bool { return top[a].Value > top[b].Value })
-	if len(top) > topK {
-		top = top[:topK]
+	if len(top) > multiFunctionTopK {
+		top = top[:multiFunctionTopK]
 	}
 
 	rel := newRelationIndex(cfus)

@@ -31,7 +31,7 @@ func buildCandidates(t *testing.T, p *ir.Program) []*CFU {
 func TestBuildMultiFunctionMergesPairs(t *testing.T) {
 	cands := buildCandidates(t, wildcardProgram())
 	n0 := len(cands)
-	merged := BuildMultiFunction(cands, hwlib.Default(), 0)
+	merged := BuildMultiFunction(cands, hwlib.Default())
 	if len(merged) <= n0 {
 		t.Fatal("no multi-function candidates were created")
 	}
@@ -135,7 +135,7 @@ func TestMultiFunctionSelectionPreference(t *testing.T) {
 	// single-function units plus their value... verify selection includes
 	// the merged candidate when it is strictly better.
 	cands := buildCandidates(t, wildcardProgram())
-	merged := BuildMultiFunction(cands, hwlib.Default(), 0)
+	merged := BuildMultiFunction(cands, hwlib.Default())
 	sel := Select(merged, SelectOptions{Budget: 15})
 	foundClassNode := false
 	for _, c := range sel.CFUs {

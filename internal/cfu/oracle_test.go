@@ -123,7 +123,7 @@ func refSelect(cfus []*CFU, opts SelectOptions) *Selection {
 		sel.TotalArea += cost(best)
 		remaining -= cost(best)
 		sel.EstimatedSavings = refClaim(best, claimed, sel.EstimatedSavings)
-		ensureVariants(best, opts.MaxVariants)
+		ensureVariants(best)
 		rel.subsumptionFor(best)
 		rel.wildcardsFor(best, opts.Lib)
 		for _, id := range best.Subsumes {
@@ -177,7 +177,7 @@ func refKnapsack(cfus []*CFU, opts SelectOptions) *Selection {
 	sel := &Selection{CFUs: chosen}
 	claimed := make(map[refOpKey]bool)
 	for _, cf := range chosen {
-		ensureVariants(cf, opts.MaxVariants)
+		ensureVariants(cf)
 		sel.TotalArea += cf.Area
 		sel.EstimatedSavings = refClaim(cf, claimed, sel.EstimatedSavings)
 	}
@@ -232,8 +232,8 @@ func TestSelectMatchesMapOracle(t *testing.T) {
 		want := Combine(res, lib, CombineOptions{})
 		if in.multi {
 			n := len(got)
-			got = BuildMultiFunction(got, lib, 0)
-			want = BuildMultiFunction(want, lib, 0)
+			got = BuildMultiFunction(got, lib)
+			want = BuildMultiFunction(want, lib)
 			if len(got) == n {
 				t.Fatalf("%s: no merged candidates", in.name)
 			}

@@ -32,7 +32,7 @@ func TestLazyVariantsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for _, c := range cands {
 				c.Shape.Signature()
-				ensureVariants(c, 0)
+				ensureVariants(c)
 				if c.Variants == nil {
 					t.Error("ensureVariants left Variants nil")
 					return

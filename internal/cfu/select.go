@@ -80,8 +80,6 @@ type SelectOptions struct {
 	WildcardDiscount float64
 	// Lib supplies opcode classes for wildcard detection (nil = default).
 	Lib *hwlib.Library
-	// MaxVariants caps variant generation for selected CFUs (0 = 64).
-	MaxVariants int
 	// Telemetry, when non-nil, receives the select span and the
 	// considered/selected/round counters.
 	Telemetry *telemetry.Registry
@@ -255,7 +253,7 @@ func (s *Selector) greedy(opts SelectOptions) *Selection {
 		// Hardware sharing: subsumed CFUs and wildcard partners become
 		// nearly free once this unit exists. Relationship discovery is
 		// lazy — only selected CFUs pay for variant generation.
-		ensureVariants(c, opts.MaxVariants)
+		ensureVariants(c)
 		rel.subsumptionFor(c)
 		rel.wildcardsFor(c, opts.Lib)
 		discount(c.Subsumes, opts.SubsumedDiscount)
@@ -334,7 +332,7 @@ func selectKnapsack(cfus []*CFU, opts SelectOptions) *Selection {
 	sel := &Selection{CFUs: chosen, Truncated: truncated}
 	space := newOpSpace(chosen)
 	for i, cf := range chosen {
-		ensureVariants(cf, opts.MaxVariants)
+		ensureVariants(cf)
 		sel.TotalArea += cf.Area
 		sel.EstimatedSavings = space.claim(i, sel.EstimatedSavings)
 	}

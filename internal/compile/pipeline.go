@@ -25,8 +25,6 @@ type Options struct {
 	// UseOpcodeClasses lets any pattern node match any opcode of the same
 	// hardware class (the paper's wildcard hardware generalization).
 	UseOpcodeClasses bool
-	// NumRegs overrides the register file size (0 = machine's).
-	NumRegs int
 	// Optimize runs common-subexpression elimination and dead-code
 	// elimination before matching. Both the baseline and the customized
 	// cycle counts then use the optimized program, so the reported speedup
@@ -81,10 +79,6 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 	if lib == nil {
 		lib = hwlib.Default()
 	}
-	numRegs := opts.NumRegs
-	if numRegs == 0 {
-		numRegs = mach.IntRegs
-	}
 	defer opts.Telemetry.StartSpan("compile")()
 
 	if opts.Optimize {
@@ -127,12 +121,12 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 	endSched := opts.Telemetry.StartSpan("compile.schedule")
 	defer endSched()
 	for bi, b := range p.Blocks {
-		baseSched, _, err := sched.ScheduleWithRegAlloc(b, mach, numRegs)
+		baseSched, _, err := sched.ScheduleWithRegAlloc(b, mach, mach.IntRegs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile: baseline %s: %w", b.Name, err)
 		}
 		nb := out.Blocks[bi]
-		customSched, stats, err := sched.ScheduleWithRegAlloc(nb, mach, numRegs)
+		customSched, stats, err := sched.ScheduleWithRegAlloc(nb, mach, mach.IntRegs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile: customized %s: %w", nb.Name, err)
 		}

@@ -90,16 +90,16 @@ func (c *CLI) Start(tool string) error {
 	return nil
 }
 
-// Close logs the corpus's hit and miss counts and closes it, then writes
-// the -trace dump and its per-stage summary. The log and the summary go
-// to the log's writer (stderr), so stdout is the same with or without
-// them.
+// Close logs the corpus's hit, miss and load counts and closes it, then
+// writes the -trace dump and its per-stage summary. The log and the
+// summary go to the log's writer (stderr), so stdout is the same with or
+// without them.
 func (c *CLI) Close() error {
 	var errs []error
 	if c.Corpus != nil {
 		s := c.Corpus.Stats()
-		log.Printf("corpus: %d hits, %d misses, %d entries (%d disk segments, %d bytes)",
-			s.Hits, s.Misses, s.Entries, s.Segments, s.DiskBytes)
+		log.Printf("corpus: %d hits, %d misses, %d entries (%d loaded, %d load errors; %d disk segments, %d bytes)",
+			s.Hits, s.Misses, s.Entries, s.Loaded, s.LoadErrors, s.Segments, s.DiskBytes)
 		if err := c.Corpus.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("corpus close: %w", err))
 		}

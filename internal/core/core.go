@@ -23,8 +23,8 @@ import (
 //
 // The JSON tags are iscd's wire format: a tagged field is a request knob,
 // and a field tagged "-" is fixed by the server (the library and machine,
-// the seed, the fanout policy) or belongs to the execution environment
-// (the corpus, telemetry, context, worker pool). Because the service's
+// the seed) or belongs to the execution environment (the corpus,
+// telemetry, context, worker pool). Because the service's
 // cache key hashes this JSON form, every wire knob is part of the cache
 // identity by construction.
 type Config struct {
@@ -32,9 +32,9 @@ type Config struct {
 	Lib *hwlib.Library `json:"-"`
 	// Machine is the baseline VLIW (nil = machine.Default4Wide()).
 	Machine *machine.Desc `json:"-"`
-	// Constraints bound individual CFUs (a zero MaxInputs / MaxOutputs =
-	// 5 inputs / 3 outputs, each field defaulted on its own). Only the
-	// port bounds are on the wire.
+	// Constraints bound individual CFUs' register ports (a zero MaxInputs
+	// / MaxOutputs = 5 inputs / 3 outputs, each field defaulted on its
+	// own).
 	explore.Constraints
 	// Budget is the total CFU die area in adder units (0 = 15, the
 	// paper's largest sweep point).
@@ -68,12 +68,6 @@ type Config struct {
 	// Verify cross-checks every transformed block against the original in
 	// the functional simulator.
 	Verify bool `json:"verify,omitempty"`
-	// Fanout overrides the exploration fanout policy (nil = default).
-	Fanout explore.FanoutPolicy `json:"-"`
-	// FanoutDesc names a Fanout override for corpus keying (see
-	// explore.Config.FanoutDesc). Ignored when Fanout is nil; leaving it
-	// empty alongside a custom Fanout bypasses the corpus for safety.
-	FanoutDesc string `json:"-"`
 	// Corpus, when non-nil, memoizes per-block exploration results across
 	// runs: repeated and overlapping workloads replay memoized candidates
 	// instead of re-searching, with selected results byte-identical to a
@@ -92,9 +86,6 @@ type Config struct {
 	// MaxCandidates caps the candidates exploration records (0 =
 	// unlimited); hitting the cap tags the result Truncated.
 	MaxCandidates int `json:"max_candidates,omitempty"`
-	// MaxExamined overrides the per-block subgraph-visit safety valve (0 =
-	// the explorer's default of 200000).
-	MaxExamined int `json:"-"`
 	// Workers bounds the goroutines exploring one program's blocks
 	// concurrently (0 or 1 = serial). Results are merged in block order,
 	// so output is identical at every setting; exploration falls back to
@@ -248,20 +239,13 @@ func Explore(p *ir.Program, cfg Config) (cands []*cfu.CFU, stats explore.Stats, 
 	ecfg.Ctx = cfg.Ctx
 	ecfg.Deadline = cfg.ExploreDeadline
 	ecfg.MaxCandidates = cfg.MaxCandidates
-	if cfg.MaxExamined > 0 {
-		ecfg.MaxExamined = cfg.MaxExamined
-	}
-	if cfg.Fanout != nil {
-		ecfg.Fanout = cfg.Fanout
-		ecfg.FanoutDesc = cfg.FanoutDesc
-	}
 	ecfg.Corpus = cfg.Corpus
 	ecfg.Workers = cfg.Workers
 	ecfg.Spare = cfg.Spare
 	res := explore.Explore(p, ecfg)
 	cands, ctrunc := cfu.CombinePartial(res, cfg.Lib, cfu.CombineOptions{Telemetry: cfg.Telemetry, Ctx: cfg.Ctx})
 	if cfg.MultiFunction {
-		cands = cfu.BuildMultiFunction(cands, cfg.Lib, 0)
+		cands = cfu.BuildMultiFunction(cands, cfg.Lib)
 	}
 	return cands, res.Stats, res.Stats.Truncated || ctrunc
 }

@@ -18,8 +18,8 @@
 //     must not share an entry.
 //   - the configuration side is supplied by the explorer: a hash over
 //     every knob that can change the candidate list (strategy, cost model,
-//     seed, guide weights, thresholds, constraints, fanout descriptor, and
-//     the hardware library's content signature, hwlib.Library.Signature).
+//     seed, guide weights, constraints, fanout cap, and the hardware
+//     library's content signature, hwlib.Library.Signature).
 //
 // An Entry stores each candidate's member indices plus the exact IEEE-754
 // bit patterns of its area and latency (AreaBits, LatencyBits). Bits, not

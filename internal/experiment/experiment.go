@@ -510,7 +510,7 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 		relaxed.MaxInputs = 96
 		relaxed.MaxOutputs = 48
 		relaxed.OvershootIO = 8
-		relaxed.Fanout = explore.UniformFanout(2)
+		relaxed.Fanout = 2
 		relaxed.MaxExamined = 60000
 		h.exploreParallel(&relaxed)
 		res := explore.Explore(b.Program, relaxed)
@@ -641,7 +641,7 @@ func (h *Harness) multiFuncMDES(source string, cfg core.Config) (*mdes.MDES, int
 		return nil, 0, err
 	}
 	unlock := h.lockSel(source)
-	multi := cfu.BuildMultiFunction(cs.cfus, cfg.Lib, 0)
+	multi := cfu.BuildMultiFunction(cs.cfus, cfg.Lib)
 	m := core.Select(source, cfu.NewSelector(multi), cs.truncated, cfg)
 	unlock()
 	merged := 0

@@ -5,53 +5,33 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"strconv"
 
 	"repro/internal/corpus"
 	"repro/internal/ir"
 )
 
 // corpusUsable reports whether memoizing this run through cfg.Corpus is
-// sound and keyable. Two bypasses guard the warm-equals-cold contract: a
-// MaxCandidates budget (its cold-path truncation point inside a growth
-// wave cannot be reproduced from a per-block memo), and a custom Fanout
-// policy with no FanoutDesc (funcs cannot be hashed into the key, so an
-// undescribed policy must not alias entries from a different one).
+// sound. A MaxCandidates budget bypasses it: the cold path's truncation
+// point inside a growth wave cannot be reproduced from a per-block memo.
 func (cfg Config) corpusUsable() bool {
-	if cfg.Corpus == nil {
-		return false
-	}
-	if cfg.MaxCandidates > 0 {
-		return false
-	}
-	if cfg.Fanout != nil && cfg.FanoutDesc == "" {
-		return false
-	}
-	return true
+	return cfg.Corpus != nil && cfg.MaxCandidates <= 0
 }
 
 // corpusConfigSig hashes every configuration knob that can change a
-// block's candidate list. Knobs are hashed in their resolved form (the
-// same defaults the block engine applies), so spelling a default
+// block's candidate list. cfg must be resolved, so spelling a default
 // explicitly shares entries with leaving it zero. Budgets, worker counts,
 // and telemetry are excluded: they change wall-clock behavior, never the
-// completed candidate list.
+// completed candidate list. The byte layout is schema version 1 and must
+// not change, or every stored entry turns cold: it keeps slots for a
+// direction threshold (half the weights), candidate pruning, an area cap
+// and a size cap (always off), and spells the fanout cap "nil" or
+// "uniform:k".
 func (cfg Config) corpusConfigSig() string {
-	weights := cfg.Weights.orEven()
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = weights.total() / 2
-	}
-	overshoot := cfg.OvershootIO
-	if overshoot == 0 {
-		overshoot = 2
-	}
-	maxExamined := cfg.MaxExamined
-	if maxExamined == 0 {
-		maxExamined = 200000
-	}
+	weights := cfg.Weights
 	fanout := "nil"
-	if cfg.Fanout != nil {
-		fanout = cfg.FanoutDesc
+	if cfg.Fanout > 0 {
+		fanout = "uniform:" + strconv.Itoa(cfg.Fanout)
 	}
 	buf := make([]byte, 0, 256)
 	buf = append(buf, 1) // signature schema version
@@ -71,12 +51,12 @@ func (cfg Config) corpusConfigSig() string {
 		buf = append(buf, 0)
 	}
 	for _, f := range []float64{
-		threshold, weights.Criticality, weights.Latency, weights.Area, weights.IO,
-		cfg.CandidatePrune, cfg.MaxArea,
+		weights.total() / 2, weights.Criticality, weights.Latency, weights.Area, weights.IO,
+		0, 0, // candidate pruning and area cap: off
 	} {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	for _, n := range []int{overshoot, maxExamined, cfg.MaxInputs, cfg.MaxOutputs, cfg.MaxOps} {
+	for _, n := range []int{cfg.OvershootIO, cfg.MaxExamined, cfg.MaxInputs, cfg.MaxOutputs, 0 /* size cap: none */} {
 		buf = binary.AppendVarint(buf, int64(n))
 	}
 	buf = append(buf, fanout...)

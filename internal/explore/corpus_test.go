@@ -70,29 +70,18 @@ func TestCorpusBypassedUnderMaxCandidates(t *testing.T) {
 	}
 }
 
-// TestCorpusBypassedForUndescribedFanout: a custom fanout policy is a func
-// and cannot be hashed; without a FanoutDesc the run must not share
-// entries with any other policy.
-func TestCorpusBypassedForUndescribedFanout(t *testing.T) {
+// TestCorpusKeysOnFanout: the fanout cap changes which directions grow,
+// so runs under different caps must not share corpus entries.
+func TestCorpusKeysOnFanout(t *testing.T) {
 	c, cfg, b := corpusTestSetup(t)
-	cfg.Fanout = DepthDecayFanout(6)
-	cfg.FanoutDesc = ""
+	cfg.Fanout = 2
 	Explore(b.Program, cfg)
-	if s := c.Stats(); s.Inserts != 0 {
-		t.Fatalf("undescribed custom fanout inserted %d corpus entries", s.Inserts)
+	if s := c.Stats(); s.Inserts == 0 {
+		t.Fatal("fanout 2 bypassed the corpus")
 	}
-	// Described policies are keyable — and distinct descriptors must not
-	// share entries with the default.
-	cfg.FanoutDesc = "depthdecay:6"
-	Explore(b.Program, cfg)
-	s := c.Stats()
-	if s.Inserts == 0 {
-		t.Fatal("described custom fanout still bypassed the corpus")
-	}
-	cfg2 := DefaultConfig(hwlib.Default())
-	cfg2.Corpus = c
-	if r := Explore(b.Program, cfg2); r.Stats.CorpusHits != 0 {
-		t.Fatal("default fanout hit entries recorded under depthdecay:6")
+	cfg.Fanout = 4
+	if r := Explore(b.Program, cfg); r.Stats.CorpusHits != 0 {
+		t.Fatal("fanout 4 hit entries recorded under fanout 2")
 	}
 }
 
@@ -119,8 +108,8 @@ func TestCorpusNoInsertWhenTruncated(t *testing.T) {
 func TestCorpusReplayRejectsForeignEntry(t *testing.T) {
 	for _, members := range [][]int{{1 << 20}, {1, 0}, {0, 0}} {
 		c, cfg, b := corpusTestSetup(t)
-		cold := Explore(b.Program, Config{Constraints: cfg.Constraints, Lib: cfg.Lib, Fanout: cfg.Fanout, FanoutDesc: cfg.FanoutDesc})
-		sig := cfg.corpusConfigSig()
+		cold := Explore(b.Program, Config{Constraints: cfg.Constraints, Lib: cfg.Lib, Fanout: cfg.Fanout})
+		sig := cfg.resolve().corpusConfigSig()
 		blk := b.Program.Blocks[0]
 		// Plant a poisoned entry under the exact key the explorer will derive.
 		c.Insert(corpus.Key{Block: ir.BlockHash(blk), Config: sig}, &corpus.Entry{
@@ -132,6 +121,31 @@ func TestCorpusReplayRejectsForeignEntry(t *testing.T) {
 		}
 		if res.Stats.CorpusHits != 0 {
 			t.Fatalf("members %v: foreign entry counted as a hit", members)
+		}
+	}
+}
+
+// TestCorpusConfigSigPinned pins the corpus configuration key: disk
+// corpora already written are keyed by these bytes, so a change here turns
+// every stored entry cold.
+func TestCorpusConfigSigPinned(t *testing.T) {
+	lib := hwlib.Default()
+	improve := DefaultConfig(lib)
+	improve.Strategy = StrategyImprove
+	uarch := DefaultConfig(lib)
+	uarch.CostModel = CostUarch
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"default", DefaultConfig(lib), "2975373012830abce77d25bcec361b5a8cc68c8c184ae8a03d805435779c9e67"},
+		{"improve", improve, "9141288d6b481f02940c23bf52b91ad127a819db457737f29f715aad77254054"},
+		{"uarch", uarch, "16d3afaee1f8e4ccea4e1001f47ed10489f2008547a5a46ac3f4e1786365187e"},
+		{"unlimited-fanout", Config{Constraints: DefaultConstraints(), Lib: lib}, "de93b64b745a4d9bee22934505cded17fc7bd776434eb6c6756a9696d9bd56b3"},
+	} {
+		if got := tc.cfg.resolve().corpusConfigSig(); got != tc.want {
+			t.Errorf("%s: corpus key %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

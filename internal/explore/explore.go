@@ -21,11 +21,6 @@ type Constraints struct {
 	// ports. The paper's experiments use 5 and 3.
 	MaxInputs  int `json:"max_inputs,omitempty"`
 	MaxOutputs int `json:"max_outputs,omitempty"`
-	// MaxArea caps one CFU's die area in adder units (0 = unlimited).
-	MaxArea float64 `json:"-"`
-	// MaxOps caps the subgraph size (0 = unlimited). The limit study uses
-	// unlimited everything.
-	MaxOps int `json:"-"`
 }
 
 // DefaultConstraints returns the paper's experimental limits.
@@ -41,45 +36,7 @@ func DefaultConfig(lib *hwlib.Library) Config {
 	return Config{
 		Constraints: DefaultConstraints(),
 		Lib:         lib,
-		Fanout:      UniformFanout(4),
-		FanoutDesc:  "uniform:4",
-	}
-}
-
-// FanoutPolicy bounds how many growth directions a candidate may take,
-// given its current size and its block's profile weight. Returning 0 means
-// unlimited. Varying the policy by size or weight is the flexibility the
-// paper highlights over single-strategy explorers.
-type FanoutPolicy func(size int, blockWeight float64) int
-
-// UniformFanout allows at most k directions everywhere.
-func UniformFanout(k int) FanoutPolicy {
-	return func(int, float64) int { return k }
-}
-
-// DepthDecayFanout allows k0 directions for seeds, decaying by one per
-// grown node, never below 1: broad early search, focused late search.
-func DepthDecayFanout(k0 int) FanoutPolicy {
-	return func(size int, _ float64) int {
-		k := k0 - (size - 1)
-		if k < 1 {
-			k = 1
-		}
-		return k
-	}
-}
-
-// WeightScaledFanout allows more directions in hot blocks: k directions
-// when the block weight is at least hot, otherwise k/2 (minimum 1).
-func WeightScaledFanout(k int, hot float64) FanoutPolicy {
-	return func(_ int, w float64) int {
-		if w >= hot {
-			return k
-		}
-		if k/2 < 1 {
-			return 1
-		}
-		return k / 2
+		Fanout:      4,
 	}
 }
 
@@ -103,27 +60,19 @@ type Config struct {
 	// Naive disables the guide function, growing in all directions; used
 	// by the Figure 3 comparison. Protect with MaxExamined.
 	Naive bool
-	// Threshold is the minimum guide score (out of 40) a direction needs
-	// to be explored. 0 means the paper's default of half the points (20).
-	Threshold float64
 	// Weights scales each guide category (criticality, latency, area, IO).
-	// Zero value means the paper's even 10/10/10/10 split.
+	// Zero value means the paper's even 10/10/10/10 split. A direction
+	// needs half the total points to be explored.
 	Weights GuideWeights
-	// Fanout bounds growth directions (nil = unlimited).
-	Fanout FanoutPolicy
-	// FanoutDesc names the Fanout policy for corpus keying (e.g.
-	// "uniform:4"); policies are funcs and cannot be hashed themselves.
-	// Callers installing a custom Fanout must give each distinct policy a
-	// distinct descriptor, or leave it empty to bypass the corpus — an
-	// empty descriptor with a non-nil Fanout disables memoization rather
-	// than risking aliased entries.
-	FanoutDesc string
+	// Fanout caps how many of a candidate's best-scoring growth directions
+	// are taken (0 = unlimited).
+	Fanout int
 	// Corpus, when non-nil, memoizes completed per-block exploration
 	// results keyed by block structure and configuration. Warm hits replay
 	// the memoized candidates byte-identically to a cold search; only
 	// wall-clock time and the examined/pruned effort counters change. It
-	// is bypassed (cold path) under a MaxCandidates budget and for
-	// undescribed custom fanout policies; see corpusUsable.
+	// is bypassed (cold path) under a MaxCandidates budget; see
+	// corpusUsable.
 	Corpus *corpus.Corpus
 	// OvershootIO lets candidates exceed the port limits by this much
 	// while growing (reconvergence can bring ports back down); such
@@ -132,11 +81,6 @@ type Config struct {
 	// MaxExamined aborts a block's exploration after this many distinct
 	// subgraphs (0 = 200000); a safety valve for naive mode.
 	MaxExamined int
-	// CandidatePrune, when in (0,1], switches to Sun-style pruning for the
-	// ablation study: after each growth wave, only candidates whose
-	// estimated merit reaches this fraction of the best merit seen so far
-	// are kept for further growth. Directions are then not pruned.
-	CandidatePrune float64
 	// Telemetry, when non-nil, receives the exploration span and the
 	// examined/pruned/recorded counters.
 	Telemetry *telemetry.Registry
@@ -177,11 +121,21 @@ func EvenWeights() GuideWeights { return GuideWeights{10, 10, 10, 10} }
 
 func (w GuideWeights) total() float64 { return w.Criticality + w.Latency + w.Area + w.IO }
 
-func (w GuideWeights) orEven() GuideWeights {
-	if w.total() == 0 {
-		return EvenWeights()
+// resolve returns cfg with its zero-valued defaults made explicit: even
+// guide weights, an overshoot of 2 and a MaxExamined of 200000. Explore
+// and ExploreBlock resolve once; both engines and the corpus key read the
+// result, so the key always hashes the values the search ran with.
+func (cfg Config) resolve() Config {
+	if cfg.Weights.total() == 0 {
+		cfg.Weights = EvenWeights()
 	}
-	return w
+	if cfg.OvershootIO == 0 {
+		cfg.OvershootIO = 2
+	}
+	if cfg.MaxExamined == 0 {
+		cfg.MaxExamined = 200000
+	}
+	return cfg
 }
 
 // Candidate is one discovered subgraph, annotated with hardware estimates,
@@ -307,6 +261,7 @@ func (bud *budget) exhausted(res *Result) bool {
 // serial run.
 func Explore(p *ir.Program, cfg Config) *Result {
 	defer cfg.Telemetry.StartSpan("explore")()
+	cfg = cfg.resolve()
 	strat := cfg.strategy()
 	res := &Result{Stats: Stats{BySize: make(map[int]int)}}
 	bud := newBudget(cfg)
@@ -434,6 +389,7 @@ func exploreBlocksParallel(strat Strategy, blocks []*ir.Block, cfg Config, res *
 
 // ExploreBlock runs the configured strategy over a single block.
 func ExploreBlock(b *ir.Block, cfg Config) *Result {
+	cfg = cfg.resolve()
 	strat := cfg.strategy()
 	res := &Result{Stats: Stats{BySize: make(map[int]int)}}
 	bud := newBudget(cfg)
@@ -809,19 +765,9 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		return
 	}
 	ctx := newBlockCtx(b, cfg.Lib)
-	weights := cfg.Weights.orEven()
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = weights.total() / 2
-	}
-	overshoot := cfg.OvershootIO
-	if overshoot == 0 {
-		overshoot = 2
-	}
+	weights := cfg.Weights
+	threshold := weights.total() / 2
 	maxExamined := cfg.MaxExamined
-	if maxExamined == 0 {
-		maxExamined = 200000
-	}
 	uarch := cfg.CostModel == CostUarch
 	maxPorts := cfg.MaxInputs + cfg.MaxOutputs
 
@@ -863,17 +809,18 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 	// the threshold and the fanout cap work on (op, score) pairs, the
 	// visited set is probed with cur ∪ {op}, and only fresh survivors are
 	// grown into work items.
-	priced := !cfg.Naive && cfg.CandidatePrune <= 0
+	priced := !cfg.Naive
 	accepted := make([]scored, 0, 64)
 
 	for head < len(queue) && examined < maxExamined {
 		if bud.exhausted(res) {
 			return
 		}
-		// FIFO pop: breadth-first keeps candidate sizes monotone, which
-		// the Sun-style pruning ablation relies on. The head index (with
-		// periodic compaction) releases popped slots without the old
-		// queue[1:] reslice pinning the whole backing array.
+		// FIFO pop: breadth-first growth visits subgraphs in size order, so
+		// the MaxExamined valve cuts the search at a size frontier (what
+		// Figure 3 compares) and the visit order is part of the candidate
+		// stream. The head index (with periodic compaction) releases popped
+		// slots without a queue[1:] reslice pinning the whole backing array.
 		cur := queue[head]
 		queue[head] = nil
 		head++
@@ -883,15 +830,7 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 			head = 0
 		}
 
-		if cfg.MaxOps > 0 && len(cur.members) >= cfg.MaxOps {
-			ctx.release(cur)
-			continue
-		}
-		if cur.in > cfg.MaxInputs+overshoot || cur.out > cfg.MaxOutputs+overshoot {
-			ctx.release(cur)
-			continue
-		}
-		if cfg.MaxArea > 0 && cur.area >= cfg.MaxArea {
+		if cur.in > cfg.MaxInputs+cfg.OvershootIO || cur.out > cfg.MaxOutputs+cfg.OvershootIO {
 			ctx.release(cur)
 			continue
 		}
@@ -926,12 +865,10 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 				accepted = append(accepted, scored{nb, s})
 			}
 		}
-		if !cfg.Naive && cfg.Fanout != nil {
-			if k := cfg.Fanout(len(cur.members), b.Weight); k > 0 && len(accepted) > k {
-				slices.SortFunc(accepted, byScoreDesc)
-				res.Stats.PrunedDirections += len(accepted) - k
-				accepted = accepted[:k]
-			}
+		if k := cfg.Fanout; priced && k > 0 && len(accepted) > k {
+			slices.SortFunc(accepted, byScoreDesc)
+			res.Stats.PrunedDirections += len(accepted) - k
+			accepted = accepted[:k]
 		}
 		for _, a := range accepted {
 			if !visited.insert(cur.set, a.nb) {
@@ -943,11 +880,6 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 			}
 		}
 		ctx.release(cur)
-
-		if cfg.CandidatePrune > 0 {
-			live := pruneCandidates(ctx, queue[head:], b.Weight, cfg.CandidatePrune)
-			queue = queue[:head+len(live)]
-		}
 	}
 }
 
@@ -973,7 +905,7 @@ func byScoreDesc(a, b scored) int {
 }
 
 // recordCandidate applies the shared candidate filter — positive cycle
-// savings, port and area constraints, convexity — and appends w to res when
+// savings, port constraints, convexity — and appends w to res when
 // it passes. Every strategy records through this one filter, so the
 // candidate contract seen by combination and selection is identical no
 // matter how the cut was discovered.
@@ -989,9 +921,6 @@ func recordCandidate(ctx *blockCtx, b *ir.Block, cfg Config, res *Result, w *wor
 		return
 	}
 	if w.in > cfg.MaxInputs || w.out > cfg.MaxOutputs {
-		return
-	}
-	if cfg.MaxArea > 0 && w.area > cfg.MaxArea {
 		return
 	}
 	if !ctx.convex(w) {
@@ -1068,35 +997,4 @@ func uarchScore(ctx *blockCtx, cur, grown price, nb int, w GuideWeights, maxPort
 	}
 
 	return crit + lat + fit + io
-}
-
-// pruneCandidates implements the Sun-style ablation: drop queued candidates
-// whose merit is below frac of the best queued merit. Merit is the profile
-// weight times the estimated cycles saved were the candidate a CFU. It
-// compacts the live queue region in place, releasing dropped items.
-func pruneCandidates(c *blockCtx, queue []*workItem, blockWeight, frac float64) []*workItem {
-	if len(queue) < 2 {
-		return queue
-	}
-	best := 0.0
-	merits := make([]float64, len(queue))
-	for i, w := range queue {
-		saved := float64(len(w.members)) - math.Max(1, math.Ceil(w.latency))
-		if saved < 0 {
-			saved = 0
-		}
-		merits[i] = blockWeight * saved
-		if merits[i] > best {
-			best = merits[i]
-		}
-	}
-	out := queue[:0]
-	for i, w := range queue {
-		if merits[i] >= best*frac {
-			out = append(out, w)
-		} else {
-			c.release(w)
-		}
-	}
-	return out
 }

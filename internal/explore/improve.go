@@ -121,9 +121,9 @@ func (c *blockCtx) rebuild(w *workItem) {
 // merit is the improve engine's objective for one cut. Both cost models
 // start from the profile-weighted cycle savings the cut would deliver as a
 // CFU (members minus pipeline stages — the same quantity the selection
-// stage values). CostArea subtracts soft penalties for port and area
-// overshoot so downhill intermediates stay ranked but the search is pulled
-// back toward feasibility; CostUarch instead prices microarchitectural fit,
+// stage values). CostArea subtracts a soft penalty for port overshoot so
+// downhill intermediates stay ranked but the search is pulled back toward
+// feasibility; CostUarch instead prices microarchitectural fit,
 // scaling savings by register-port fit and normalizing per pipeline stage,
 // so a shallow cut that drops cleanly into the pipeline beats a deep one
 // with the same raw savings.
@@ -152,9 +152,6 @@ func (c *blockCtx) merit(w *workItem, cfg Config, uarch bool) float64 {
 			over = w.in - cfg.MaxInputs
 		}
 		m -= weight * float64(over)
-	}
-	if cfg.MaxArea > 0 && w.area > cfg.MaxArea {
-		m -= weight * (w.area - cfg.MaxArea)
 	}
 	return m
 }
@@ -209,7 +206,7 @@ func improveSeeds(c *blockCtx, cfg Config) []int {
 // a pooled clone the caller owns; it seeds the subsequent KL passes so
 // refinement starts from the chain instead of rediscovering it move by
 // move.
-func chainWalk(c *blockCtx, cfg Config, s, overshoot int, uarch bool, visit func(*workItem)) *workItem {
+func chainWalk(c *blockCtx, cfg Config, s int, uarch bool, visit func(*workItem)) *workItem {
 	var best *workItem
 	bestJ := math.Inf(-1)
 	see := func(w *workItem) {
@@ -224,7 +221,7 @@ func chainWalk(c *blockCtx, cfg Config, s, overshoot int, uarch bool, visit func
 	cur := c.seed(s)
 	see(cur)
 	last := s
-	for cfg.MaxOps <= 0 || len(cur.members) < cfg.MaxOps {
+	for {
 		// Visit every one-op extension of the cut — sideways absorptions
 		// (an operand producer feeding the chain, e.g. the second add tree
 		// of a reassociated sum) are as valuable as downstream growth —
@@ -238,7 +235,7 @@ func chainWalk(c *blockCtx, cfg Config, s, overshoot int, uarch bool, visit func
 				return
 			}
 			w := c.grow(cur, nb)
-			if w.in > cfg.MaxInputs+overshoot || w.out > cfg.MaxOutputs+overshoot {
+			if w.in > cfg.MaxInputs+cfg.OvershootIO || w.out > cfg.MaxOutputs+cfg.OvershootIO {
 				c.release(w)
 				return
 			}
@@ -299,23 +296,21 @@ type toggleMove struct {
 // fully computed anyway, and the rejected neighbors of a good trajectory
 // are where most of the engine's candidate yield comes from. Returns
 // ok=false when no legal toggle exists.
-func (c *blockCtx) bestMove(cur *workItem, cfg Config, tabu bitset, uarch bool, overshoot int, last int, visit func(*workItem)) (best *workItem, toggled int, ok bool) {
+func (c *blockCtx) bestMove(cur *workItem, cfg Config, tabu bitset, uarch bool, last int, visit func(*workItem)) (best *workItem, toggled int, ok bool) {
 	adds := make([]toggleMove, 0, improveAddCap)
-	if cfg.MaxOps <= 0 || len(cur.members) < cfg.MaxOps {
-		cur.nbrUnion.forEach(cur.set, func(nb int) {
-			if c.allowed.has(nb) && !tabu.has(nb) {
-				adds = append(adds, toggleMove{nb, c.d.Slack[nb]})
-			}
-		})
-		if len(adds) > improveAddCap {
-			sort.Slice(adds, func(a, b int) bool {
-				if adds[a].rank != adds[b].rank {
-					return adds[a].rank < adds[b].rank
-				}
-				return adds[a].op < adds[b].op
-			})
-			adds = adds[:improveAddCap]
+	cur.nbrUnion.forEach(cur.set, func(nb int) {
+		if c.allowed.has(nb) && !tabu.has(nb) {
+			adds = append(adds, toggleMove{nb, c.d.Slack[nb]})
 		}
+	})
+	if len(adds) > improveAddCap {
+		sort.Slice(adds, func(a, b int) bool {
+			if adds[a].rank != adds[b].rank {
+				return adds[a].rank < adds[b].rank
+			}
+			return adds[a].op < adds[b].op
+		})
+		adds = adds[:improveAddCap]
 	}
 	var removes []toggleMove
 	if len(cur.members) > 1 {
@@ -339,7 +334,7 @@ func (c *blockCtx) bestMove(cur *workItem, cfg Config, tabu bitset, uarch bool, 
 	bestJ := math.Inf(-1)
 	bestSlack, bestChain := 0, false
 	consider := func(w *workItem, op int) {
-		if w.in > cfg.MaxInputs+overshoot || w.out > cfg.MaxOutputs+overshoot {
+		if w.in > cfg.MaxInputs+cfg.OvershootIO || w.out > cfg.MaxOutputs+cfg.OvershootIO {
 			c.release(w)
 			return
 		}
@@ -392,13 +387,6 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 	}
 	ctx := newBlockCtx(b, cfg.Lib)
 	maxExamined := cfg.MaxExamined
-	if maxExamined == 0 {
-		maxExamined = 200000
-	}
-	overshoot := cfg.OvershootIO
-	if overshoot == 0 {
-		overshoot = 2
-	}
 	uarch := cfg.CostModel == CostUarch
 
 	visited := newVisitedSet((ctx.n + 63) / 64)
@@ -437,7 +425,7 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		if bud.exhausted(res) || examined >= maxExamined {
 			return
 		}
-		if w := chainWalk(ctx, cfg, i, overshoot, uarch, visit); w != nil {
+		if w := chainWalk(ctx, cfg, i, uarch, visit); w != nil {
 			ctx.release(w)
 		}
 	}
@@ -447,7 +435,7 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		if bud.exhausted(res) || examined >= maxExamined {
 			return
 		}
-		cur := chainWalk(ctx, cfg, s, overshoot, uarch, visit)
+		cur := chainWalk(ctx, cfg, s, uarch, visit)
 		if bud.exhausted(res) || examined >= maxExamined {
 			if cur != nil {
 				ctx.release(cur)
@@ -470,7 +458,7 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 					ctx.release(passBest)
 					return
 				}
-				next, op, ok := ctx.bestMove(cur, cfg, tabu, uarch, overshoot, last, visit)
+				next, op, ok := ctx.bestMove(cur, cfg, tabu, uarch, last, visit)
 				if !ok {
 					break
 				}

@@ -87,7 +87,7 @@ func TestImproveDeterministic(t *testing.T) {
 
 // TestStrategyInvariantsAllBenchmarks runs both strategies over every seed
 // benchmark and checks the contract every Strategy implementation owes the
-// downstream stages: candidates respect the port and area constraints, are
+// downstream stages: candidates respect the port constraints, are
 // convex subgraphs of CFU-eligible ops, and the source programs are left
 // untouched (ir.Validate still passes).
 func TestStrategyInvariantsAllBenchmarks(t *testing.T) {
@@ -109,10 +109,6 @@ func TestStrategyInvariantsAllBenchmarks(t *testing.T) {
 					t.Fatalf("%s/%s: candidate %v has %d/%d ports, limit %d/%d",
 						b.Name, strat, c.Ops, c.Inputs, c.Outputs,
 						cfg.MaxInputs, cfg.MaxOutputs)
-				}
-				if cfg.MaxOps > 0 && len(c.Ops) > cfg.MaxOps {
-					t.Fatalf("%s/%s: candidate with %d ops, limit %d",
-						b.Name, strat, len(c.Ops), cfg.MaxOps)
 				}
 				for _, idx := range c.Ops {
 					if idx < 0 || idx >= len(c.Block.Ops) {

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -85,7 +88,8 @@ func TestServerCorpusWarmStart(t *testing.T) {
 
 	// The metrics page grows the corpus gauges.
 	page := getText(t, ts.URL+"/metrics")
-	for _, want := range []string{"iscd_corpus_enabled 1", "iscd_corpus_entries ", "iscd_corpus_hits ", "iscd_corpus_misses ", "iscd_corpus_inserts "} {
+	for _, want := range []string{"iscd_corpus_enabled 1", "iscd_corpus_entries ", "iscd_corpus_hits ", "iscd_corpus_misses ", "iscd_corpus_inserts ",
+		"iscd_corpus_loaded 0\n", "iscd_corpus_load_errors 0\n"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("metrics page lacks %q", want)
 		}
@@ -97,7 +101,9 @@ func TestServerCorpusWarmStart(t *testing.T) {
 
 // TestServerCorpusPersistsAcrossRestart is the restart contract: a second
 // server opening the same corpus directory replays blocks the first one
-// explored, and its replies stay byte-identical.
+// explored, and its replies stay byte-identical. A torn record at the end
+// of the segment must show up as a load error on /metrics while every whole
+// record still loads.
 func TestServerCorpusPersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	store, err := corpus.Open(dir, 0)
@@ -111,6 +117,21 @@ func TestServerCorpusPersistsAcrossRestart(t *testing.T) {
 	}
 	ts.Close()
 	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written := store.Stats().Inserts
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no corpus segment written (%v)", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x7f, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,6 +156,12 @@ func TestServerCorpusPersistsAcrossRestart(t *testing.T) {
 	}
 	if !bytes.Equal(firstBody, secondBody) {
 		t.Fatal("post-restart reply differs from the pre-restart bytes")
+	}
+	page := getText(t, ts2.URL+"/metrics")
+	for _, want := range []string{fmt.Sprintf("iscd_corpus_loaded %d\n", written), "iscd_corpus_load_errors 1\n"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("post-restart metrics page lacks %q", want)
+		}
 	}
 }
 

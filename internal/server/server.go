@@ -277,6 +277,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "iscd_corpus_segments %d\n", cs.Segments)
 		fmt.Fprintf(&sb, "iscd_corpus_disk_bytes %d\n", cs.DiskBytes)
 		fmt.Fprintf(&sb, "iscd_corpus_append_errors %d\n", cs.AppendErrors)
+		fmt.Fprintf(&sb, "iscd_corpus_loaded %d\n", cs.Loaded)
+		fmt.Fprintf(&sb, "iscd_corpus_load_errors %d\n", cs.LoadErrors)
 	} else {
 		fmt.Fprintf(&sb, "iscd_corpus_enabled 0\n")
 	}

@@ -9,5 +9,7 @@
 // Main entry point: Equivalent(before, after, trials, seed) runs both
 // blocks on matched pseudo-random inputs and returns a descriptive error on
 // the first divergence. core.Config.Verify wires it across every block of
-// every benchmark.
+// every benchmark. Exec is the one op evaluator: RunBlock steps it in
+// dependence order, and the cycle-level VLIW interpreter (vliwsim) in
+// issue order.
 package sim

@@ -85,84 +85,107 @@ func (s *State) PreloadWord(addr, v uint32) {
 // so execution order inside the block cannot change what a register read
 // observes — the property the compiler's reordering relies on.
 func RunBlock(b *ir.Block, s *State) error {
-	vals := make(map[*ir.Op][]uint32, len(b.Ops))
-	pendingRegs := make(map[ir.Reg]uint32)
 	// Execute in dependence order: the IR allows (acyclic) forward value
 	// references in the op list, and memory/terminator ordering edges are
 	// part of the dependence graph, so a topological order is exactly the
 	// machine's execution semantics.
-	d := ir.Analyze(b)
-	order := d.TopoOrder()
-	get := func(a ir.Operand) uint32 {
+	e := NewExec(s, len(b.Ops))
+	for _, idx := range ir.Analyze(b).TopoOrder() {
+		if err := e.Step(b.Ops[idx]); err != nil {
+			return err
+		}
+	}
+	e.Commit()
+	return nil
+}
+
+// Exec is one block execution in progress: the op evaluator shared by
+// RunBlock and the cycle-level VLIW interpreter, which differ only in the
+// order they step ops. Results of stepped ops feed later FromOp operands;
+// register writes are staged until Commit.
+type Exec struct {
+	s       *State
+	vals    map[*ir.Op][]uint32
+	pending map[ir.Reg]uint32
+}
+
+// NewExec starts executing a block of n ops against s.
+func NewExec(s *State, n int) *Exec {
+	return &Exec{s: s, vals: make(map[*ir.Op][]uint32, n), pending: make(map[ir.Reg]uint32)}
+}
+
+// Step executes op. Every op it reads through a FromOp operand must have
+// been stepped already.
+func (e *Exec) Step(op *ir.Op) error {
+	s := e.s
+	args := make([]uint32, len(op.Args))
+	for i, a := range op.Args {
 		switch a.Kind {
 		case ir.FromOp:
-			return vals[a.X][a.Idx]
+			args[i] = e.vals[a.X][a.Idx]
 		case ir.FromReg:
-			return s.Regs[a.Reg]
+			args[i] = s.Regs[a.Reg]
 		default:
-			return a.Val
+			args[i] = a.Val
 		}
 	}
-	for _, idx := range order {
-		op := b.Ops[idx]
-		args := make([]uint32, len(op.Args))
-		for i, a := range op.Args {
-			args[i] = get(a)
-		}
+	var out []uint32
+	switch {
+	case op.Code == ir.Custom:
 		switch {
-		case op.Code == ir.Custom && op.Custom != nil && op.Custom.EvalMem != nil:
-			vals[op] = op.Custom.EvalMem(args, s)
-			if len(vals[op]) != op.Custom.NumOut {
-				return fmt.Errorf("sim: custom op %%%d produced %d results, want %d",
-					op.ID, len(vals[op]), op.Custom.NumOut)
-			}
-		case op.Code == ir.Custom:
-			if op.Custom == nil || op.Custom.Eval == nil {
-				return fmt.Errorf("sim: custom op %%%d has no semantics", op.ID)
-			}
-			vals[op] = op.Custom.Eval(args)
-			if len(vals[op]) != op.Custom.NumOut {
-				return fmt.Errorf("sim: custom op %%%d produced %d results, want %d",
-					op.ID, len(vals[op]), op.Custom.NumOut)
-			}
-		case op.Code == ir.LoadW:
-			vals[op] = []uint32{s.LoadWord(args[0])}
-		case op.Code == ir.LoadB:
-			vals[op] = []uint32{uint32(s.readByte(args[0]))}
-		case op.Code == ir.LoadH:
-			vals[op] = []uint32{uint32(s.readByte(args[0])) | uint32(s.readByte(args[0]+1))<<8}
-		case op.Code == ir.StoreW:
-			s.StoreWord(args[0], args[1])
-		case op.Code == ir.StoreB:
-			s.writeByte(args[0], byte(args[1]))
-		case op.Code == ir.StoreH:
-			s.writeByte(args[0], byte(args[1]))
-			s.writeByte(args[0]+1, byte(args[1]>>8))
-		case op.Code == ir.Br:
-			s.BranchTaken = 1
-		case op.Code == ir.BrCond:
-			s.BranchTaken = args[0]
-		case op.Code == ir.Ret:
-			if len(args) > 0 {
-				s.Returned = args[0]
-			}
-		case op.Code == ir.Nop:
+		case op.Custom != nil && op.Custom.EvalMem != nil:
+			out = op.Custom.EvalMem(args, s)
+		case op.Custom != nil && op.Custom.Eval != nil:
+			out = op.Custom.Eval(args)
 		default:
-			vals[op] = []uint32{ir.EvalScalar(op.Code, args)}
+			return fmt.Errorf("sim: custom op %%%d has no semantics", op.ID)
 		}
-		if op.Dest != 0 {
-			pendingRegs[op.Dest] = vals[op][0]
+		if len(out) != op.Custom.NumOut {
+			return fmt.Errorf("sim: custom op %%%d produced %d results, want %d",
+				op.ID, len(out), op.Custom.NumOut)
 		}
-		for i, r := range op.Dests {
-			if r != 0 {
-				pendingRegs[r] = vals[op][i]
-			}
+	case op.Code == ir.LoadW:
+		out = []uint32{s.LoadWord(args[0])}
+	case op.Code == ir.LoadB:
+		out = []uint32{uint32(s.readByte(args[0]))}
+	case op.Code == ir.LoadH:
+		out = []uint32{uint32(s.readByte(args[0])) | uint32(s.readByte(args[0]+1))<<8}
+	case op.Code == ir.StoreW:
+		s.StoreWord(args[0], args[1])
+	case op.Code == ir.StoreB:
+		s.writeByte(args[0], byte(args[1]))
+	case op.Code == ir.StoreH:
+		s.writeByte(args[0], byte(args[1]))
+		s.writeByte(args[0]+1, byte(args[1]>>8))
+	case op.Code == ir.Br:
+		s.BranchTaken = 1
+	case op.Code == ir.BrCond:
+		s.BranchTaken = args[0]
+	case op.Code == ir.Ret:
+		if len(args) > 0 {
+			s.Returned = args[0]
 		}
+	case op.Code == ir.Nop:
+	default:
+		out = []uint32{ir.EvalScalar(op.Code, args)}
 	}
-	for r, v := range pendingRegs {
-		s.Regs[r] = v
+	e.vals[op] = out
+	if op.Dest != 0 {
+		e.pending[op.Dest] = out[0]
+	}
+	for i, r := range op.Dests {
+		if r != 0 {
+			e.pending[r] = out[i]
+		}
 	}
 	return nil
+}
+
+// Commit writes the staged register results to the state.
+func (e *Exec) Commit() {
+	for r, v := range e.pending {
+		e.s.Regs[r] = v
+	}
 }
 
 // liveInRegs collects every register a block reads before writing.

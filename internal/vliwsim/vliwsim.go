@@ -87,19 +87,7 @@ func Execute(b *ir.Block, s *sched.Schedule, m *machine.Desc, st *sim.State, tel
 	}
 
 	tr := &Trace{}
-	vals := make(map[*ir.Op][]uint32, len(b.Ops))
-	pendingRegs := make(map[ir.Reg]uint32)
-	get := func(a ir.Operand) uint32 {
-		switch a.Kind {
-		case ir.FromOp:
-			return vals[a.X][a.Idx]
-		case ir.FromReg:
-			return st.Regs[a.Reg]
-		default:
-			return a.Val
-		}
-	}
-
+	ex := sim.NewExec(st, len(b.Ops))
 	for cycle := 0; cycle <= maxCycle; cycle++ {
 		issued := byCycle[cycle]
 		if len(issued) == 0 {
@@ -119,49 +107,8 @@ func Execute(b *ir.Block, s *sched.Schedule, m *machine.Desc, st *sim.State, tel
 				tr.IssuedPerSlot[slot]++
 			}
 
-			args := make([]uint32, len(op.Args))
-			for k, a := range op.Args {
-				args[k] = get(a)
-			}
-			switch {
-			case op.Code == ir.Custom && op.Custom != nil && op.Custom.EvalMem != nil:
-				vals[op] = op.Custom.EvalMem(args, st)
-			case op.Code == ir.Custom:
-				if op.Custom == nil || op.Custom.Eval == nil {
-					return nil, fmt.Errorf("vliwsim: custom op %%%d has no semantics", op.ID)
-				}
-				vals[op] = op.Custom.Eval(args)
-			case op.Code == ir.LoadW:
-				vals[op] = []uint32{st.LoadWord(args[0])}
-			case op.Code == ir.LoadB:
-				vals[op] = []uint32{st.LoadWord(args[0]) & 0xFF}
-			case op.Code == ir.LoadH:
-				vals[op] = []uint32{st.LoadWord(args[0]) & 0xFFFF}
-			case op.Code == ir.StoreW:
-				st.StoreWord(args[0], args[1])
-			case op.Code == ir.StoreB:
-				st.StoreWord(args[0], st.LoadWord(args[0])&^uint32(0xFF)|args[1]&0xFF)
-			case op.Code == ir.StoreH:
-				st.StoreWord(args[0], st.LoadWord(args[0])&^uint32(0xFFFF)|args[1]&0xFFFF)
-			case op.Code == ir.Br:
-				st.BranchTaken = 1
-			case op.Code == ir.BrCond:
-				st.BranchTaken = args[0]
-			case op.Code == ir.Ret:
-				if len(args) > 0 {
-					st.Returned = args[0]
-				}
-			case op.Code == ir.Nop:
-			default:
-				vals[op] = []uint32{ir.EvalScalar(op.Code, args)}
-			}
-			if op.Dest != 0 {
-				pendingRegs[op.Dest] = vals[op][0]
-			}
-			for k, r := range op.Dests {
-				if r != 0 {
-					pendingRegs[r] = vals[op][k]
-				}
+			if err := ex.Step(op); err != nil {
+				return nil, fmt.Errorf("vliwsim: cycle %d: %w", cycle, err)
 			}
 			if done := cycle + m.Latency(op); done > tr.Cycles {
 				tr.Cycles = done
@@ -169,9 +116,7 @@ func Execute(b *ir.Block, s *sched.Schedule, m *machine.Desc, st *sim.State, tel
 		}
 		tr.PerCycle = append(tr.PerCycle, issued)
 	}
-	for r, v := range pendingRegs {
-		st.Regs[r] = v
-	}
+	ex.Commit()
 	tel.Add("vliwsim.cycles", int64(tr.Cycles))
 	tel.Add("vliwsim.idle_cycles", int64(tr.IdleCycles))
 	for _, n := range tr.IssuedPerSlot {

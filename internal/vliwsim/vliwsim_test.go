@@ -1,6 +1,7 @@
 package vliwsim
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -30,30 +31,41 @@ func TestExecuteMatchesSchedulerOnAllBenchmarks(t *testing.T) {
 	}
 }
 
+// TestExecuteValuesMatchFunctionalSim runs every block of every benchmark
+// through both interpreters from the same state and compares everything a
+// block can observably change: registers, the bytes it stores, the branch
+// condition and the return value.
 func TestExecuteValuesMatchFunctionalSim(t *testing.T) {
 	m := machine.Default4Wide()
-	bench, err := workloads.ByName("rawdaudio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bench.Program.Blocks[0]
-	s := sched.List(b, m)
-
-	stA := sim.NewState(77)
-	stB := sim.NewState(77)
-	for r := 1; r <= 8; r++ {
-		stA.Regs[ir.R(r)] = uint32(r * 1000)
-		stB.Regs[ir.R(r)] = uint32(r * 1000)
-	}
-	if _, err := Execute(b, s, m, stA); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunBlock(b, stB); err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range stB.Regs {
-		if stA.Regs[r] != v {
-			t.Fatalf("reg %v: vliwsim %#x vs sim %#x", r, stA.Regs[r], v)
+	for _, bench := range workloads.All() {
+		for bi, b := range bench.Program.Blocks {
+			stA := sim.NewState(uint32(77 + bi))
+			stB := sim.NewState(uint32(77 + bi))
+			for _, op := range b.Ops {
+				for _, a := range op.Args {
+					if a.Kind == ir.FromReg {
+						v := uint32(a.Reg)*2654435761 + 12345
+						stA.Regs[a.Reg], stB.Regs[a.Reg] = v, v
+					}
+				}
+			}
+			if _, err := Execute(b, sched.List(b, m), m, stA); err != nil {
+				t.Fatalf("%s/%s: %v", bench.Name, b.Name, err)
+			}
+			if err := sim.RunBlock(b, stB); err != nil {
+				t.Fatalf("%s/%s: %v", bench.Name, b.Name, err)
+			}
+			where := bench.Name + "/" + b.Name
+			if !maps.Equal(stA.Regs, stB.Regs) {
+				t.Errorf("%s: registers differ: vliwsim %v, sim %v", where, stA.Regs, stB.Regs)
+			}
+			if !maps.Equal(stA.Stores, stB.Stores) {
+				t.Errorf("%s: stores differ: vliwsim wrote %d bytes, sim %d", where, len(stA.Stores), len(stB.Stores))
+			}
+			if stA.BranchTaken != stB.BranchTaken || stA.Returned != stB.Returned {
+				t.Errorf("%s: branch/return vliwsim %d/%#x, sim %d/%#x", where,
+					stA.BranchTaken, stA.Returned, stB.BranchTaken, stB.Returned)
+			}
 		}
 	}
 }
