@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cosim"
-	"repro/internal/graph"
 	"repro/internal/hdl"
 	"repro/internal/hwlib"
 	"repro/internal/workloads"
@@ -74,29 +73,21 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", b.Name, err)
 		}
+		datapaths, lowerErr := cosim.CheckMDES(m, lib, *trials, *seed)
 		checked, mismatched := 0, 0
-		for i := range m.CFUs {
-			spec := &m.CFUs[i]
-			shapes := append([]*graph.Shape{spec.Shape}, spec.Variants...)
-			for vi, s := range shapes {
-				if s.UsesMemory() {
-					continue
-				}
-				n, err := hdl.BuildNetlist(hdl.ModuleName(spec.Name), s, lib)
-				if err != nil {
-					log.Fatalf("%s: %s variant %d: %v", b.Name, spec.Name, vi, err)
-				}
-				err = cosim.CheckNetlist(n, s, cosim.Options{
-					Trials: *trials,
-					Seed:   *seed + int64(i*131+vi),
-				})
-				checked++
-				if err != nil {
-					mismatched++
-					failed = true
-					fmt.Printf("FAIL %-10s %s variant %d\n%v\n", b.Name, spec.Name, vi, err)
-				}
+		for _, d := range datapaths {
+			if d.Memory {
+				continue
 			}
+			checked++
+			if d.Err != nil {
+				mismatched++
+				failed = true
+				fmt.Printf("FAIL %-10s %s variant %d\n%v\n", b.Name, m.CFUs[d.CFU].Name, d.Variant, d.Err)
+			}
+		}
+		if lowerErr != nil {
+			log.Fatalf("%s: %v", b.Name, lowerErr)
 		}
 		if mismatched == 0 {
 			fmt.Printf("PASS %-10s %d CFUs, %d datapaths co-simulated, %d trials each\n",

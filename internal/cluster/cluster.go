@@ -21,10 +21,24 @@ import (
 // well under a megabyte).
 const maxResponseBytes = 64 << 20
 
+const (
+	// attemptSlack pads the per-attempt timeout above the request's
+	// pipeline deadline: the replica needs the whole deadline to produce
+	// its best-so-far answer, plus transit. Requests with no deadline get
+	// attempts capped at 60s.
+	attemptSlack = 2 * time.Second
+	// degradeFactor scales the deadline of degraded-admitted requests,
+	// floored at deadlineFloor: shrink the search, keep the request.
+	degradeFactor = 0.25
+	deadlineFloor = 50 * time.Millisecond
+	// jitterSeed fixes the backoff jitter, so retry timing replays.
+	jitterSeed = 1
+)
+
 // SLODeadlines maps each service class onto its default pipeline deadline:
 // the knob that ties the cluster's overload story to the anytime
 // machinery. A request carrying its own deadline_ms keeps it; degraded
-// admission multiplies whichever applies by Config.DegradeFactor.
+// admission multiplies whichever applies by degradeFactor.
 type SLODeadlines struct {
 	// Gold, Silver, Bronze are the per-class defaults (0 = the package
 	// default: 30s / 10s / 3s).
@@ -50,9 +64,6 @@ type Config struct {
 	// Policy picks the routing preference order: "affinity" (default),
 	// "roundrobin", or "leastloaded".
 	Policy string
-	// VirtualNodes is the per-replica point count on the affinity ring
-	// (0 = 64).
-	VirtualNodes int
 
 	// HealthInterval and HealthTimeout drive the active health loop
 	// (0 = 1s / 500ms).
@@ -73,27 +84,15 @@ type Config struct {
 	// current one has not answered within this duration (0 = hedging off).
 	// First acceptable response wins.
 	HedgeAfter time.Duration
-	// AttemptSlack pads the per-attempt timeout above the request's
-	// pipeline deadline — the replica needs the whole deadline to produce
-	// its best-so-far answer, plus transit (0 = 2s). Requests with no
-	// deadline get attempts capped at 60s.
-	AttemptSlack time.Duration
 
 	// Admission sizes the token-bucket admission controller.
 	Admission AdmissionConfig
 	// Deadlines maps SLO classes onto default pipeline deadlines.
 	Deadlines SLODeadlines
-	// DegradeFactor scales the deadline of degraded-admitted requests
-	// (0 = 0.25), floored at DeadlineFloor (0 = 50ms): shrink the search,
-	// keep the request.
-	DegradeFactor float64
-	DeadlineFloor time.Duration
 
 	// Telemetry receives the router's counters and gauges (nil = fresh
 	// registry).
 	Telemetry *telemetry.Registry
-	// Seed fixes the backoff jitter for reproducible tests (0 = 1).
-	Seed int64
 	// Client performs upstream HTTP (nil = a dedicated transport).
 	Client *http.Client
 }
@@ -156,9 +155,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 500 * time.Millisecond
 	}
-	if cfg.AttemptSlack <= 0 {
-		cfg.AttemptSlack = 2 * time.Second
-	}
 	if cfg.Deadlines.Gold <= 0 {
 		cfg.Deadlines.Gold = 30 * time.Second
 	}
@@ -167,15 +163,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Deadlines.Bronze <= 0 {
 		cfg.Deadlines.Bronze = 3 * time.Second
-	}
-	if cfg.DegradeFactor <= 0 || cfg.DegradeFactor >= 1 {
-		cfg.DegradeFactor = 0.25
-	}
-	if cfg.DeadlineFloor <= 0 {
-		cfg.DeadlineFloor = 50 * time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -187,7 +174,7 @@ func New(cfg Config) (*Cluster, error) {
 		admission: NewAdmission(cfg.Admission),
 		client:    cfg.Client,
 		mux:       http.NewServeMux(),
-		jitter:    rand.New(rand.NewSource(cfg.Seed)),
+		jitter:    rand.New(rand.NewSource(jitterSeed)),
 		stop:      make(chan struct{}),
 	}
 	if c.client == nil {
@@ -197,12 +184,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.replicas = append(c.replicas, newReplica(rc, cfg.BreakerThreshold, cfg.BreakerCooloff))
 	}
 	var err error
-	if c.cfg.Policy == PolicyAffinity && cfg.VirtualNodes > 0 {
-		c.policy = NewRing(c.replicas, cfg.VirtualNodes)
-	} else {
-		c.policy, err = newPolicy(cfg.Policy, c.replicas)
-	}
-	if err != nil {
+	if c.policy, err = newPolicy(cfg.Policy, c.replicas); err != nil {
 		return nil, err
 	}
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
@@ -459,7 +441,7 @@ func (c *Cluster) fetchCorpus(ctx context.Context, rep *Replica) corpusReplica {
 
 // effectiveDeadline maps (request, class, admission decision) onto the
 // pipeline deadline forwarded to the replica: the request's own
-// deadline_ms if set, else the class default; shrunk by DegradeFactor
+// deadline_ms if set, else the class default; shrunk by degradeFactor
 // (floored) when admission degraded the request. This is the SLO →
 // anytime mapping: overload makes deadlines smaller, so replicas return
 // best-so-far Truncated results instead of the cluster returning errors.
@@ -468,8 +450,8 @@ func (c *Cluster) effectiveDeadline(d time.Duration, class SLO, degraded bool) t
 		d = c.cfg.Deadlines.For(class)
 	}
 	if degraded {
-		d = time.Duration(float64(d) * c.cfg.DegradeFactor)
-		d = max(d, c.cfg.DeadlineFloor)
+		d = time.Duration(float64(d) * degradeFactor)
+		d = max(d, deadlineFloor)
 	}
 	return d
 }
@@ -520,7 +502,7 @@ func (c *Cluster) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	// The overall routing budget: the pipeline deadline plus slack per
 	// possible attempt, so a request can fail over even after burning most
 	// of its deadline on a dead replica.
-	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.cfg.MaxAttempts)*c.cfg.AttemptSlack)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.cfg.MaxAttempts)*attemptSlack)
 	defer cancel()
 
 	res := c.do(ctx, preq.Key, http.MethodPost, "/v1/customize", fwdBody, deadline)
@@ -736,12 +718,12 @@ func (c *Cluster) hedged(ctx context.Context, seq []*Replica, cursor int, primar
 }
 
 // attempt performs one upstream HTTP exchange with its per-attempt
-// timeout (deadline + AttemptSlack, or 60s for unbounded requests) and
+// timeout (deadline + attemptSlack, or 60s for unbounded requests) and
 // maintains the replica's in-flight gauge.
 func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string, body []byte, deadline time.Duration) upstream {
 	timeout := 60 * time.Second
 	if deadline > 0 {
-		timeout = deadline + c.cfg.AttemptSlack
+		timeout = deadline + attemptSlack
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

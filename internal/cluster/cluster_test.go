@@ -306,7 +306,6 @@ func TestDegradedAdmissionShrinksDeadline(t *testing.T) {
 			Silver:   ClassLimits{Rate: 0.001, Burst: 1},
 			Degraded: ClassLimits{Rate: 0.001, Burst: 5},
 		},
-		DeadlineFloor: 50 * time.Millisecond,
 	})
 	req := `{"benchmark":"crc","budget":5,"slo":"silver","deadline_ms":60000}`
 	postCluster(t, f.front.URL, req) // burns silver's burst

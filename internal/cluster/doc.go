@@ -13,10 +13,10 @@
 //     never disagree about which program a request names.
 //   - Admission: token-bucket admission control per SLO class. An empty
 //     class bucket does not mean rejection: the request degrades first —
-//     its deadline shrinks (DegradeFactor) so the anytime machinery returns
-//     a best-so-far Truncated result — and gold may then borrow bronze's
-//     and silver's tokens, so under overload bronze sheds first and gold
-//     last. Shed responses are 503 + Retry-After.
+//     its deadline shrinks to a quarter (never below 50ms) so the anytime
+//     machinery returns a best-so-far Truncated result — and gold may then
+//     borrow bronze's and silver's tokens, so under overload bronze sheds
+//     first and gold last. Shed responses are 503 + Retry-After.
 //   - Policy / Ring: pluggable replica-preference orders. The default
 //     fingerprint-affinity policy walks a consistent-hash ring keyed by
 //     ir.Fingerprint, the replicas' own exact program hash, so every

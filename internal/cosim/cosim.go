@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hdl"
 	"repro/internal/hwlib"
+	"repro/internal/mdes"
 )
 
 // Options parameterizes one differential check.
@@ -63,6 +64,43 @@ func Check(s *graph.Shape, lib *hwlib.Library, opt Options) error {
 		return err
 	}
 	return CheckNetlist(n, s, opt)
+}
+
+// Datapath is the co-simulation verdict on one shape of a selected CFU.
+type Datapath struct {
+	// CFU indexes the machine description's CFUs; Variant is 0 for the
+	// CFU's primary shape and k for its k-th subsumed variant.
+	CFU, Variant int
+	// Memory marks a shape with a load/store port: it has no
+	// combinational datapath, so it was neither lowered nor checked.
+	Memory bool
+	// Err is the co-simulation failure (nil = every trial agreed).
+	Err error
+}
+
+// CheckMDES lowers every shape of m's CFUs — each CFU's primary shape,
+// then its subsumed variants — to a netlist and co-simulates it with the
+// given trial count, shape vi of CFU i under seed base+i*131+vi. It
+// returns one Datapath per shape in that order; a mismatch is recorded
+// and the walk goes on. A shape that fails to lower ends the walk: the
+// verdicts so far come back with an error naming the CFU and variant.
+func CheckMDES(m *mdes.MDES, lib *hwlib.Library, trials int, base int64) ([]Datapath, error) {
+	var out []Datapath
+	for i := range m.CFUs {
+		spec := &m.CFUs[i]
+		for vi, s := range append([]*graph.Shape{spec.Shape}, spec.Variants...) {
+			d := Datapath{CFU: i, Variant: vi, Memory: s.UsesMemory()}
+			if !d.Memory {
+				n, err := hdl.BuildNetlist(hdl.ModuleName(spec.Name), s, lib)
+				if err != nil {
+					return out, fmt.Errorf("lowering %s variant %d: %w", spec.Name, vi, err)
+				}
+				d.Err = CheckNetlist(n, s, Options{Trials: trials, Seed: base + int64(i*131+vi)})
+			}
+			out = append(out, d)
+		}
+	}
+	return out, nil
 }
 
 // refVariant pairs one function-select setting with the pattern that

@@ -17,10 +17,11 @@
 // itself.
 //
 // Main entry points: Check lowers a pattern and differentially tests it;
+// CheckMDES does so for every datapath of a machine description's CFUs;
 // CheckNetlist tests an already-built netlist (used by the mutation
 // sanity tests); EvalNetlist is the netlist interpreter; ShapeFromBytes
 // deterministically decodes fuzz bytes into candidate patterns for the
-// FuzzCosim and FuzzEmitCFU targets. cmd/isccosim drives the harness over
+// FuzzCosim and FuzzEmitCFU targets. cmd/isccosim runs CheckMDES over
 // every CFU selected on the seed benchmarks; iscd runs it per request at
 // /v1/hdl.
 package cosim

@@ -123,8 +123,8 @@ func (w GuideWeights) total() float64 { return w.Criticality + w.Latency + w.Are
 
 // resolve returns cfg with its zero-valued defaults made explicit: even
 // guide weights, an overshoot of 2 and a MaxExamined of 200000. Explore
-// and ExploreBlock resolve once; both engines and the corpus key read the
-// result, so the key always hashes the values the search ran with.
+// resolves once; both engines and the corpus key read the result, so the
+// key always hashes the values the search ran with.
 func (cfg Config) resolve() Config {
 	if cfg.Weights.total() == 0 {
 		cfg.Weights = EvenWeights()
@@ -385,24 +385,6 @@ func exploreBlocksParallel(strat Strategy, blocks []*ir.Block, cfg Config, res *
 			res.Stats.BySize[s] += c
 		}
 	}
-}
-
-// ExploreBlock runs the configured strategy over a single block.
-func ExploreBlock(b *ir.Block, cfg Config) *Result {
-	cfg = cfg.resolve()
-	strat := cfg.strategy()
-	res := &Result{Stats: Stats{BySize: make(map[int]int)}}
-	bud := newBudget(cfg)
-	if bud != nil && bud.cancel != nil {
-		defer bud.cancel()
-	}
-	useCorpus := cfg.corpusUsable()
-	sig := ""
-	if useCorpus {
-		sig = cfg.corpusConfigSig()
-	}
-	exploreBlockMemo(strat, b, cfg, res, bud, sig, useCorpus)
-	return res
 }
 
 // blockCtx precomputes the per-block structures the hot loop needs:

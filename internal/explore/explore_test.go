@@ -59,6 +59,13 @@ func denseBlock(n int) *ir.Block {
 	return b
 }
 
+// exploreOne runs Explore over a one-block program holding b.
+func exploreOne(b *ir.Block, cfg Config) *Result {
+	p := ir.NewProgram(b.Name)
+	p.Blocks = append(p.Blocks, b)
+	return Explore(p, cfg)
+}
+
 func defaultCfg() Config { return DefaultConfig(hwlib.Default()) }
 
 // openCfg is the guide function without any fanout bound.
@@ -70,7 +77,7 @@ func openCfg() Config {
 
 func TestExploreFindsCandidates(t *testing.T) {
 	b := feistelBlock(1000)
-	res := ExploreBlock(b, defaultCfg())
+	res := exploreOne(b, defaultCfg())
 	if len(res.Candidates) == 0 {
 		t.Fatal("no candidates discovered")
 	}
@@ -96,10 +103,10 @@ func TestExploreFindsCandidates(t *testing.T) {
 
 func TestGuidedPrunesVersusNaive(t *testing.T) {
 	b := denseBlock(40)
-	guided := ExploreBlock(b, defaultCfg())
+	guided := exploreOne(b, defaultCfg())
 	ncfg := defaultCfg()
 	ncfg.Naive = true
-	naive := ExploreBlock(b, ncfg)
+	naive := exploreOne(b, ncfg)
 	if guided.Stats.Examined*2 > naive.Stats.Examined {
 		t.Fatalf("guided examined %d, naive %d: expected at least 2x pruning",
 			guided.Stats.Examined, naive.Stats.Examined)
@@ -145,10 +152,10 @@ func TestGuidedMatchesNaiveOnSmallBlocks(t *testing.T) {
 	b.Def(ir.R(3), w)
 
 	lib := hwlib.Default()
-	guided := ExploreBlock(b, defaultCfg())
+	guided := exploreOne(b, defaultCfg())
 	ncfg := defaultCfg()
 	ncfg.Naive = true
-	naive := ExploreBlock(b, ncfg)
+	naive := exploreOne(b, ncfg)
 	gk := bestCandidateKeys(guided, lib, 3)
 	nk := bestCandidateKeys(naive, lib, 3)
 	for k := range nk {
@@ -161,10 +168,10 @@ func TestGuidedMatchesNaiveOnSmallBlocks(t *testing.T) {
 
 func TestFanoutCap(t *testing.T) {
 	b := denseBlock(40)
-	open := ExploreBlock(b, openCfg())
+	open := exploreOne(b, openCfg())
 	tight := defaultCfg()
 	tight.Fanout = 1
-	res := ExploreBlock(b, tight)
+	res := exploreOne(b, tight)
 	if res.Stats.Examined >= open.Stats.Examined {
 		t.Fatalf("fanout 1 examined %d >= unlimited %d", res.Stats.Examined, open.Stats.Examined)
 	}
@@ -175,7 +182,7 @@ func TestMaxExaminedSafetyValve(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Naive = true
 	cfg.MaxExamined = 10
-	res := ExploreBlock(b, cfg)
+	res := exploreOne(b, cfg)
 	if res.Stats.Examined > 10 {
 		t.Fatalf("examined %d > cap 10", res.Stats.Examined)
 	}
@@ -206,7 +213,7 @@ func TestEvenWeightsDefault(t *testing.T) {
 
 func TestStatsBySize(t *testing.T) {
 	b := feistelBlock(10)
-	res := ExploreBlock(b, defaultCfg())
+	res := exploreOne(b, defaultCfg())
 	if res.Stats.BySize[1] == 0 {
 		t.Fatal("seeds must be counted at size 1")
 	}

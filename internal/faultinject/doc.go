@@ -8,9 +8,9 @@
 //	             | flaky[:N] | kill[:CODE]
 //
 // where site is one of benchmark, explore, select, compile (the experiment
-// harness stages), server (the iscd request path), or replica (the iscd
-// HTTP front door, keyed by the replica's -name), and key is a benchmark
-// or replica name or * for any. This is how CI proves the fault-isolation
+// harness stages), server (the iscd request path, /v1/customize and
+// /v1/hdl alike), or replica (the iscd HTTP front door, keyed by the
+// replica's -name), and key is a benchmark or replica name or * for any. This is how CI proves the fault-isolation
 // contracts: a panicking sweep job becomes a PanicError row, an iscd panic
 // becomes a 500 without killing the daemon, and an injected slow burns a
 // request deadline to force a Truncated best-so-far response.

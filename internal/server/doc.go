@@ -10,7 +10,10 @@
 //
 //	POST /v1/customize   run the pipeline on a named seed benchmark or an
 //	                     iscasm program; returns the MDES + speedup report
+//	GET|POST /v1/hdl     the same request (query or body); returns the
+//	                     selected CFUs as co-simulated Verilog + an ISA spec
 //	GET  /v1/benchmarks  list the sixteen seed benchmarks
+//	GET  /v1/corpus      exploration-corpus statistics
 //	GET  /healthz        liveness ("ok" or "draining")
 //	GET  /metrics        telemetry counters/gauges/spans, Prometheus-style
 //
@@ -18,6 +21,11 @@
 // API; Shutdown drains in-flight runs. Request/Response define the wire
 // format: a Request is Benchmark, Program and DeadlineMS plus an embedded
 // core.Config, whose JSON tags name the pipeline knobs.
+//
+// Both pipeline endpoints share one request path: decode, normalize,
+// resolve, validate, key, then the caching front end and one fenced run;
+// each endpoint contributes only its methods, its request counter and the
+// renderer that turns the pipeline's result into its body.
 //
 // Hot-path machinery, in request order: an LRU result cache keyed by a
 // hash of the program's ir.Fingerprint, the deadline and the JSON form of
@@ -32,8 +40,8 @@
 // per-request deadlines lowered onto the pipeline's anytime budgets, so a
 // timed-out request returns its best-so-far result tagged truncated
 // instead of an error (truncated results are never cached); and a panic
-// fence at the run boundary (experiment.PanicError) so one poisoned
-// request cannot take the daemon down. The faultinject "server" site
+// fence at the run boundary, which turns a panicking run into a 500 naming
+// the request, so one poisoned request cannot take the daemon down. The faultinject "server" site
 // covers all of this in the robustness suite.
 //
 // cmd/iscd is the daemon wrapping this package.

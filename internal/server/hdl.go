@@ -2,18 +2,14 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cosim"
-	"repro/internal/faultinject"
-	"repro/internal/graph"
 	"repro/internal/hdl"
 	"repro/internal/ir"
 )
@@ -101,149 +97,69 @@ func requestFromQuery(q url.Values) (Request, error) {
 // prefix.
 func (s *Server) handleHDL(w http.ResponseWriter, r *http.Request) {
 	s.tel.Add("server.hdl.requests", 1)
-	if err := faultinject.Fire("replica", s.cfg.Name); err != nil {
-		s.tel.Add("server.faults", 1)
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	var req Request
-	switch r.Method {
-	case http.MethodGet:
-		q, err := requestFromQuery(r.URL.Query())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		req = q
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: %v", err)
-			return
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request JSON: %v", err)
-			return
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "want GET or POST")
-		return
-	}
-	req = req.Normalized(s.cfg.DefaultDeadline)
-	p, status, err := Resolve(req)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := req.cacheKey("hdl", p)
-	s.serveCached(w, r, key, func() (int, []byte, string) {
-		st, b := s.runHDL(req, p, key)
-		return st, b, ""
-	})
+	s.serve(w, r, "hdl", renderHDL)
 }
 
-// runHDL generates the machine description, lowers every selected CFU to
-// a netlist, co-simulates each datapath against the reference semantics,
-// and renders the Verilog and ISA artifacts. Any disagreement between the
-// emitted hardware and the functional model is a server-side bug and
-// surfaces as a 500, never as a silently wrong artifact.
-func (s *Server) runHDL(req Request, p *ir.Program, key string) (status int, body []byte) {
-	defer s.tel.StartSpan("server.hdl")()
-	defer func() {
-		if r := recover(); r != nil {
-			s.tel.Add("server.panics", 1)
-			status, body = marshalError(http.StatusInternalServerError,
-				fmt.Errorf("panic in hdl %q: %v", p.Name, r))
-		}
-	}()
-	ctx := context.Background()
-	if d := req.deadline(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if s.tokens.Acquire(ctx) {
-		defer s.tokens.Release()
-	}
-	cfg := req.Config
-	cfg.Ctx = ctx
-	cfg.Telemetry = s.tel
-	// The corpus warms /v1/hdl too (same exploration, same keys); only the
-	// X-Iscd-Corpus header is a /v1/customize-only affordance.
-	cfg.Corpus = s.cfg.Corpus
+// renderHDL generates the machine description, lowers every selected CFU
+// to a netlist, co-simulates each datapath against the reference
+// semantics, and renders the Verilog and ISA artifacts. Any disagreement
+// between the emitted hardware and the functional model is a server-side
+// bug and surfaces as a 500, never as a silently wrong artifact. The
+// corpus warms this pipeline too, but the X-Iscd-Corpus header is a
+// /v1/customize affordance, so the header value is always empty.
+func renderHDL(p *ir.Program, cfg core.Config) (any, bool, string, error) {
 	m, err := core.GenerateMDES(p, cfg)
 	if err != nil {
-		s.tel.Add("server.errors", 1)
-		return marshalError(http.StatusInternalServerError, err)
+		return nil, false, "", err
 	}
-
 	resp := HDLResponse{Source: m.Source, Budget: m.Budget, Truncated: m.Truncated}
-	for i := range m.CFUs {
-		spec := &m.CFUs[i]
-		info := HDLCFU{
+	for _, spec := range m.CFUs {
+		resp.CFUs = append(resp.CFUs, HDLCFU{
 			Name:    spec.Name,
 			Module:  hdl.ModuleName(spec.Name),
 			Area:    spec.Area,
 			Latency: spec.Latency,
-		}
-		for vi, shape := range append([]*graph.Shape{spec.Shape}, spec.Variants...) {
-			if shape.UsesMemory() {
-				info.Memory = true
-				continue
-			}
-			n, err := hdl.BuildNetlist(info.Module, shape, cfg.Lib)
-			if err != nil {
-				s.tel.Add("server.errors", 1)
-				return marshalError(http.StatusInternalServerError,
-					fmt.Errorf("lowering %s variant %d: %w", spec.Name, vi, err))
-			}
-			opts := cosim.Options{Trials: hdlCosimTrials, Seed: int64(i*131 + vi)}
-			if err := cosim.CheckNetlist(n, shape, opts); err != nil {
-				s.tel.Add("server.hdl.mismatches", 1)
-				return marshalError(http.StatusInternalServerError,
-					fmt.Errorf("co-simulation of %s variant %d: %w", spec.Name, vi, err))
-			}
+		})
+	}
+	datapaths, lowerErr := cosim.CheckMDES(m, cfg.Lib, hdlCosimTrials, 0)
+	for _, d := range datapaths {
+		info := &resp.CFUs[d.CFU]
+		switch {
+		case d.Memory:
+			info.Memory = true
+		case d.Err != nil:
+			cfg.Telemetry.Add("server.hdl.mismatches", 1)
+			return nil, false, "", fmt.Errorf("co-simulation of %s variant %d: %w", info.Name, d.Variant, d.Err)
+		default:
 			info.Datapaths++
 		}
-		if info.Datapaths > 0 {
+	}
+	if lowerErr != nil {
+		return nil, false, "", lowerErr
+	}
+	for i := range resp.CFUs {
+		if info := &resp.CFUs[i]; info.Datapaths > 0 {
 			info.Cosim = "pass"
 			info.Trials = hdlCosimTrials
 		} else {
 			info.Cosim = "skipped (memory)"
 		}
-		resp.CFUs = append(resp.CFUs, info)
 	}
 
 	var verilog bytes.Buffer
 	if err := hdl.EmitMDES(&verilog, m, cfg.Lib); err != nil {
-		return marshalError(http.StatusInternalServerError, err)
+		return nil, false, "", err
 	}
 	resp.Verilog = verilog.String()
 	isaSpec, err := hdl.MapISA(m)
 	if err != nil {
-		return marshalError(http.StatusInternalServerError, err)
+		return nil, false, "", err
 	}
 	var isa bytes.Buffer
 	if err := isaSpec.Write(&isa); err != nil {
-		return marshalError(http.StatusInternalServerError, err)
+		return nil, false, "", err
 	}
 	resp.ISA = isa.String()
 	resp.Extension = isaSpec.Name
-
-	b, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return marshalError(http.StatusInternalServerError, err)
-	}
-	b = append(b, '\n')
-	if resp.Truncated {
-		s.tel.Add("server.cache.skip_truncated", 1)
-	} else {
-		s.cache.put(key, b)
-		s.tel.Add("server.cache.store", 1)
-	}
-	return http.StatusOK, b
+	return resp, resp.Truncated, "", nil
 }

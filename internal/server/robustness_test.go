@@ -18,66 +18,75 @@ import (
 // An injected panic in one request's pipeline must become a 500 with the
 // failure identity, leave the daemon serving, and never poison the cache.
 func TestInjectedPanicIsContained(t *testing.T) {
-	_, tel, ts := newTestServer(t, Config{})
-	restore, err := faultinject.Enable("server:crc=panic")
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, kind := range pipelineKinds {
+		t.Run(kind, func(t *testing.T) {
+			_, tel, ts := newTestServer(t, Config{})
+			restore, err := faultinject.Enable("server:crc=panic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
 
-	resp, body := postCustomize(t, ts.URL, `{"benchmark":"crc","budget":5}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("poisoned request: status %d, want 500: %s", resp.StatusCode, body)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatalf("500 body is not JSON: %s", body)
-	}
-	if !strings.Contains(e.Error, "panic in customize") || !strings.Contains(e.Error, "crc") {
-		t.Errorf("panic error does not name the failing request: %q", e.Error)
-	}
-	if c := counter(tel, "server.panics"); c != 1 {
-		t.Errorf("server.panics = %d, want 1", c)
-	}
+			resp, body := postKind(t, ts.URL, kind, `{"benchmark":"crc","budget":5}`)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("poisoned request: status %d, want 500: %s", resp.StatusCode, body)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("500 body is not JSON: %s", body)
+			}
+			if !strings.Contains(e.Error, "panic in "+kind) || !strings.Contains(e.Error, "crc") {
+				t.Errorf("panic error does not name the failing request: %q", e.Error)
+			}
+			if c := counter(tel, "server.panics"); c != 1 {
+				t.Errorf("server.panics = %d, want 1", c)
+			}
 
-	// Other benchmarks are unaffected while the fault is armed.
-	if resp, body := postCustomize(t, ts.URL, `{"benchmark":"sha","budget":5}`); resp.StatusCode != http.StatusOK {
-		t.Errorf("healthy benchmark alongside a poisoned one: status %d: %s", resp.StatusCode, body)
-	}
+			// Other benchmarks are unaffected while the fault is armed.
+			if resp, body := postKind(t, ts.URL, kind, `{"benchmark":"sha","budget":5}`); resp.StatusCode != http.StatusOK {
+				t.Errorf("healthy benchmark alongside a poisoned one: status %d: %s", resp.StatusCode, body)
+			}
 
-	// Once the fault clears, the previously poisoned request succeeds: the
-	// failure was not cached.
-	restore()
-	resp2, _ := postCustomize(t, ts.URL, `{"benchmark":"crc","budget":5}`)
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("recovered request: status %d, want 200", resp2.StatusCode)
-	}
-	if got := resp2.Header.Get("X-Iscd-Cache"); got != "miss" {
-		t.Errorf("recovered request cache state = %q, want miss (failures are uncacheable)", got)
+			// Once the fault clears, the previously poisoned request
+			// succeeds: the failure was not cached.
+			restore()
+			resp2, _ := postKind(t, ts.URL, kind, `{"benchmark":"crc","budget":5}`)
+			if resp2.StatusCode != http.StatusOK {
+				t.Errorf("recovered request: status %d, want 200", resp2.StatusCode)
+			}
+			if got := resp2.Header.Get("X-Iscd-Cache"); got != "miss" {
+				t.Errorf("recovered request cache state = %q, want miss (failures are uncacheable)", got)
+			}
+		})
 	}
 }
 
 func TestInjectedErrorIsReported(t *testing.T) {
-	_, tel, ts := newTestServer(t, Config{})
 	restore, err := faultinject.Enable("server:url=error")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restore()
-
-	resp, body := postCustomize(t, ts.URL, `{"benchmark":"url","budget":5}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("injected error: status %d, want 500: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "injected error at server:url") {
-		t.Errorf("error body does not carry the injected failure: %s", body)
-	}
-	if c := counter(tel, "server.faults"); c != 1 {
-		t.Errorf("server.faults = %d, want 1", c)
-	}
-	if fired := faultinject.Fired("server", "url"); fired != 1 {
-		t.Errorf("fault fired %d times, want 1", fired)
+	for _, kind := range pipelineKinds {
+		t.Run(kind, func(t *testing.T) {
+			_, tel, ts := newTestServer(t, Config{})
+			fired := faultinject.Fired("server", "url")
+			resp, body := postKind(t, ts.URL, kind, `{"benchmark":"url","budget":5}`)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("injected error: status %d, want 500: %s", resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "injected error at server:url") {
+				t.Errorf("error body does not carry the injected failure: %s", body)
+			}
+			if c := counter(tel, "server.faults"); c != 1 {
+				t.Errorf("server.faults = %d, want 1", c)
+			}
+			if n := faultinject.Fired("server", "url") - fired; n != 1 {
+				t.Errorf("fault fired %d times, want 1", n)
+			}
+		})
 	}
 }
 
@@ -90,10 +99,12 @@ func TestWildcardServerFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restore()
-	for _, bench := range []string{"crc", "sha"} {
-		resp, _ := postCustomize(t, ts.URL, `{"benchmark":"`+bench+`","budget":5}`)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Errorf("%s: status %d, want 500 under wildcard fault", bench, resp.StatusCode)
+	for _, kind := range pipelineKinds {
+		for _, bench := range []string{"crc", "sha"} {
+			resp, _ := postKind(t, ts.URL, kind, `{"benchmark":"`+bench+`","budget":5}`)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Errorf("%s %s: status %d, want 500 under wildcard fault", kind, bench, resp.StatusCode)
+			}
 		}
 	}
 }

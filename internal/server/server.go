@@ -17,7 +17,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/experiment"
 	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
@@ -328,16 +327,28 @@ func Resolve(req Request) (*ir.Program, int, error) {
 	return p, 0, nil
 }
 
-// handleCustomize is POST /v1/customize: cache lookup, coalescing, bounded
-// admission, pipeline run, deterministic encoding. The X-Iscd-Cache
-// response header says how the reply was produced ("hit", "miss", or
-// "coalesced") without perturbing the cached body bytes.
+// handleCustomize is POST /v1/customize: the hardware compiler's machine
+// description plus the input program recompiled onto it.
 func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "want POST")
 		return
 	}
 	s.tel.Add("server.requests", 1)
+	s.serve(w, r, "customize", renderCustomize)
+}
+
+// renderer runs one endpoint's pipeline under cfg. It returns the value
+// encoded as the 200 body, whether that result is truncated (best-so-far),
+// and the X-Iscd-Corpus header value ("" = none).
+type renderer func(p *ir.Program, cfg core.Config) (body any, truncated bool, corpusHdr string, err error)
+
+// serve is the request front end of every pipeline-backed endpoint: the
+// replica fault site, request decoding, normalization, program resolution,
+// validation, and the kind-prefixed cache key, then serveCached with one
+// fenced run of render. The endpoint's handler has already checked its
+// method and counted the request.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind string, render renderer) {
 	// The replica-level fault site models a sick *process*, not a sick
 	// pipeline: it sits before the cache so hang/flaky/kill faults hit
 	// every request the replica handles, the way real replica failures do.
@@ -346,14 +357,9 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	req, status, err := decodeRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request JSON: %v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
 	req = req.Normalized(s.cfg.DefaultDeadline)
@@ -366,9 +372,31 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	key := req.cacheKey(kind, p)
+	s.serveCached(w, r, key, func() (int, []byte, string) { return s.run(kind, req, p, key, render) })
+}
 
-	key := req.cacheKey("customize", p)
-	s.serveCached(w, r, key, func() (int, []byte, string) { return s.run(req, p, key) })
+// decodeRequest reads a Request from the query of a GET or the JSON body
+// of a POST (bounded by maxRequestBytes), with the HTTP status to use on
+// failure. /v1/customize refuses GET in its handler, so only /v1/hdl
+// reaches the GET branch and the 405.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, int, error) {
+	var req Request
+	switch r.Method {
+	case http.MethodGet:
+		q, err := requestFromQuery(r.URL.Query())
+		return q, http.StatusBadRequest, err
+	case http.MethodPost:
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			return req, http.StatusBadRequest, fmt.Errorf("reading body: %v", err)
+		}
+		if err := json.Unmarshal(body, &req); err != nil {
+			return req, http.StatusBadRequest, fmt.Errorf("bad request JSON: %v", err)
+		}
+		return req, 0, nil
+	}
+	return req, http.StatusMethodNotAllowed, fmt.Errorf("want GET or POST")
 }
 
 // handleCorpus is GET /v1/corpus: the exploration corpus's statistics —
@@ -400,13 +428,12 @@ type CorpusStatus struct {
 	Stats *corpus.Stats `json:"stats,omitempty"`
 }
 
-// serveCached is the shared caching front end of every pipeline-backed
-// endpoint: result-cache lookup, request coalescing, drain refusal, and
+// serveCached is the caching half of serve: result-cache lookup, request coalescing, drain refusal, and
 // singleflight leadership. Exactly one goroutine runs `work` per key; any
 // concurrent identical request waits for the leader's bytes. The
 // X-Iscd-Cache response header says how the reply was produced ("hit",
 // "miss", or "coalesced") without perturbing the cached body bytes.
-// Caching the result (or not, for truncated responses) is `work`'s job.
+// Caching the result (or not, for truncated responses) is run's job.
 // `work`'s third return is the X-Iscd-Corpus header value ("" = none),
 // which rides the response header — of the leader and of every coalesced
 // follower — but never the cached body bytes.
@@ -466,22 +493,19 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	writeRaw(w, c.status, c.body)
 }
 
-// run executes the pipeline for one admitted request behind the panic
-// fence. The run's context is detached from the leader's HTTP request (a
+// run executes one admitted request's pipeline behind the panic fence.
+// The run's context is detached from the leader's HTTP request (a
 // coalesced follower must not die with the leader's connection) and
 // bounded only by the request deadline; expiry surfaces as a truncated
-// best-so-far response via the anytime-budget machinery.
-func (s *Server) run(req Request, p *ir.Program, key string) (status int, body []byte, corpusHdr string) {
-	defer s.tel.StartSpan("server.customize")()
+// best-so-far response via the anytime-budget machinery. A truncated
+// result is returned but never cached.
+func (s *Server) run(kind string, req Request, p *ir.Program, key string, render renderer) (status int, body []byte, corpusHdr string) {
+	defer s.tel.StartSpan("server." + kind)()
 	defer func() {
 		if r := recover(); r != nil {
-			buf := make([]byte, 64<<10)
-			buf = buf[:runtime.Stack(buf, false)]
-			pe := &experiment.PanicError{Job: -1, Context: fmt.Sprintf("customize %q", p.Name), Value: r, Stack: buf}
 			s.tel.Add("server.panics", 1)
-			status = http.StatusInternalServerError
-			b, _ := json.MarshalIndent(errorResponse{Error: fmt.Sprintf("panic in customize %q: %v", p.Name, pe.Value)}, "", "  ")
-			body = append(b, '\n')
+			status, body, corpusHdr = errReply(http.StatusInternalServerError,
+				fmt.Errorf("panic in %s %q: %v", kind, p.Name, r))
 		}
 	}()
 
@@ -513,27 +537,17 @@ func (s *Server) run(req Request, p *ir.Program, key string) (status int, body [
 	cfg.Telemetry = s.tel
 	cfg.Corpus = s.cfg.Corpus
 
-	res, err := core.Customize(p, cfg)
+	v, truncated, corpusHdr, err := render(p, cfg)
 	if err != nil {
 		s.tel.Add("server.errors", 1)
 		return errReply(http.StatusInternalServerError, err)
 	}
-	if s.cfg.Corpus != nil {
-		corpusHdr = fmt.Sprintf("hits=%d misses=%d", res.CorpusHits, res.CorpusMisses)
-	}
-	resp := Response{
-		Source:    res.Report.Source,
-		Speedup:   res.Report.Speedup,
-		Truncated: res.Report.Truncated,
-		MDES:      res.MDES,
-		Report:    res.Report,
-	}
-	b, err := json.MarshalIndent(resp, "", "  ")
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return errReply(http.StatusInternalServerError, err)
 	}
 	b = append(b, '\n')
-	if resp.Truncated {
+	if truncated {
 		// A truncated result depends on where the clock cut the search, so
 		// caching it would freeze one timing accident as the answer.
 		s.tel.Add("server.truncated", 1)
@@ -545,14 +559,31 @@ func (s *Server) run(req Request, p *ir.Program, key string) (status int, body [
 	return http.StatusOK, b, corpusHdr
 }
 
-// errReply is marshalError widened to serveCached's work signature: error
-// replies never carry an X-Iscd-Corpus header.
-func errReply(status int, err error) (int, []byte, string) {
-	st, b := marshalError(status, err)
-	return st, b, ""
+// renderCustomize is /v1/customize's pipeline: core.Customize rendered as
+// a Response, with the run's corpus replay counts for X-Iscd-Corpus when a
+// corpus is attached.
+func renderCustomize(p *ir.Program, cfg core.Config) (any, bool, string, error) {
+	res, err := core.Customize(p, cfg)
+	if err != nil {
+		return nil, false, "", err
+	}
+	corpusHdr := ""
+	if cfg.Corpus != nil {
+		corpusHdr = fmt.Sprintf("hits=%d misses=%d", res.CorpusHits, res.CorpusMisses)
+	}
+	resp := Response{
+		Source:    res.Report.Source,
+		Speedup:   res.Report.Speedup,
+		Truncated: res.Report.Truncated,
+		MDES:      res.MDES,
+		Report:    res.Report,
+	}
+	return resp, resp.Truncated, corpusHdr, nil
 }
 
-func marshalError(status int, err error) (int, []byte) {
+// errReply is a JSON error body in serveCached's work signature: error
+// replies never carry an X-Iscd-Corpus header.
+func errReply(status int, err error) (int, []byte, string) {
 	b, _ := json.MarshalIndent(errorResponse{Error: err.Error()}, "", "  ")
-	return status, append(b, '\n')
+	return status, append(b, '\n'), ""
 }

@@ -35,9 +35,19 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *telemetry.Registry, *htt
 
 func postCustomize(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/customize", "application/json", strings.NewReader(body))
+	return postKind(t, url, "customize", body)
+}
+
+// pipelineKinds names the endpoints that run the pipeline: /v1/<kind>
+// takes a POST of the JSON request body.
+var pipelineKinds = []string{"customize", "hdl"}
+
+// postKind POSTs body to /v1/<kind>.
+func postKind(t *testing.T, url, kind, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/"+kind, "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/customize: %v", err)
+		t.Fatalf("POST /v1/%s: %v", kind, err)
 	}
 	b, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -176,7 +186,6 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 }
 
 func TestDeadlineReturnsTruncatedBestSoFar(t *testing.T) {
-	_, tel, ts := newTestServer(t, Config{})
 	// Stall the pipeline past the request deadline: the run must come back
 	// with its best-so-far result tagged truncated, not an error.
 	restore, err := faultinject.Enable("server:mpeg2dec=slow:80ms")
@@ -186,28 +195,50 @@ func TestDeadlineReturnsTruncatedBestSoFar(t *testing.T) {
 	defer restore()
 	req := `{"benchmark":"mpeg2dec","deadline_ms":5}`
 
-	resp, body := postCustomize(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deadline-bounded request: status %d, want 200 (truncated result, not an error): %s",
-			resp.StatusCode, body)
-	}
-	var out Response
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Truncated {
-		t.Fatal("deadline-bounded request did not report truncation")
-	}
-	if out.Report == nil || out.MDES == nil || out.Speedup < 1 {
-		t.Errorf("truncated response must still carry a valid best-so-far result: %+v", out)
-	}
-	if c := counter(tel, "server.cache.skip_truncated"); c != 1 {
-		t.Errorf("server.cache.skip_truncated = %d, want 1", c)
-	}
-	// Truncated results are timing accidents and must not be cached.
-	resp2, _ := postCustomize(t, ts.URL, req)
-	if got := resp2.Header.Get("X-Iscd-Cache"); got != "miss" {
-		t.Errorf("repeat of a truncated request served %q, want miss (truncated results are uncacheable)", got)
+	for _, kind := range pipelineKinds {
+		t.Run(kind, func(t *testing.T) {
+			_, tel, ts := newTestServer(t, Config{})
+			resp, body := postKind(t, ts.URL, kind, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("deadline-bounded request: status %d, want 200 (truncated result, not an error): %s",
+					resp.StatusCode, body)
+			}
+			var out struct {
+				Truncated bool   `json:"truncated"`
+				Source    string `json:"source"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !out.Truncated {
+				t.Fatal("deadline-bounded request did not report truncation")
+			}
+			if out.Source != "mpeg2dec" {
+				t.Errorf("truncated response names source %q, want mpeg2dec", out.Source)
+			}
+			if kind == "customize" {
+				var full Response
+				if err := json.Unmarshal(body, &full); err != nil {
+					t.Fatal(err)
+				}
+				if full.Report == nil || full.MDES == nil || full.Speedup < 1 {
+					t.Errorf("truncated response must still carry a valid best-so-far result: %+v", full)
+				}
+			}
+			for _, name := range []string{"server.truncated", "server.cache.skip_truncated"} {
+				if c := counter(tel, name); c != 1 {
+					t.Errorf("%s = %d, want 1", name, c)
+				}
+			}
+			// Truncated results are timing accidents and must not be cached.
+			resp2, _ := postKind(t, ts.URL, kind, req)
+			if got := resp2.Header.Get("X-Iscd-Cache"); got != "miss" {
+				t.Errorf("repeat of a truncated request served %q, want miss (truncated results are uncacheable)", got)
+			}
+			if c := counter(tel, "server.cache.store"); c != 0 {
+				t.Errorf("server.cache.store = %d, want 0", c)
+			}
+		})
 	}
 }
 
