@@ -1,9 +1,9 @@
 // Command isccluster fronts a fleet of iscd replicas: consistent-hash
 // routing on the exact program fingerprint (so each replica's cache
 // owns a shard of the keyspace), active health checking, per-replica
-// circuit breakers, retry-with-backoff failover, optional hedging, and
-// token-bucket admission control with SLO classes (gold/silver/bronze)
-// that shed load by shrinking deadlines before rejecting.
+// circuit breakers, retry-with-backoff failover, and token-bucket
+// admission control with SLO classes (gold/silver/bronze) that shed load
+// by shrinking deadlines before rejecting.
 //
 // Usage:
 //
@@ -57,11 +57,9 @@ func main() {
 	addr := flag.String("addr", "localhost:9090", "listen address")
 	var replicas replicaList
 	flag.Var(&replicas, "replica", "iscd replica as name=url (repeatable, at least one)")
-	policy := flag.String("policy", cluster.PolicyAffinity, fmt.Sprintf("routing policy: one of %v", cluster.Policies()))
 	hcInterval := flag.Duration("hc-interval", time.Second, "active health-probe interval")
 	hcTimeout := flag.Duration("hc-timeout", 500*time.Millisecond, "health-probe timeout")
 	attempts := flag.Int("attempts", 0, "max attempts per request across replicas (0 = replicas+1)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a slow attempt on the next replica after this long (0 = off)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a replica's circuit breaker")
 	breakerCooloff := flag.Duration("breaker-cooloff", 2*time.Second, "how long an open breaker waits before a half-open probe")
 	goldRate := flag.Float64("gold-rate", 100, "gold admission tokens/second")
@@ -87,11 +85,9 @@ func main() {
 	}
 	cfg := cluster.Config{
 		Replicas:         replicas,
-		Policy:           *policy,
 		HealthInterval:   *hcInterval,
 		HealthTimeout:    *hcTimeout,
 		MaxAttempts:      *attempts,
-		HedgeAfter:       *hedgeAfter,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooloff:   *breakerCooloff,
 		Telemetry:        cli.Telemetry,
@@ -117,7 +113,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("listening on http://%s, fronting %d replicas (%s routing)", *addr, len(replicas), *policy)
+	log.Printf("listening on http://%s, fronting %d replicas (affinity routing)", *addr, len(replicas))
 
 	select {
 	case err := <-errc:

@@ -1,13 +1,13 @@
 // Command iscload is an open-loop workload generator for iscd and
-// isccluster: arrivals follow a configured stochastic process and never
-// wait for completions, so the service feels real overload instead of
-// the self-throttling a closed loop would apply.
+// isccluster: arrivals are Poisson at each spec's rate and never wait for
+// completions, so the service feels real overload instead of the
+// self-throttling a closed loop would apply.
 //
 // Usage:
 //
 //	iscload -url http://localhost:9090 \
-//	        -spec slo=gold,rate=20,n=200,arrivals=poisson,bench=crc+sha-x16 \
-//	        -spec slo=bronze,rate=50,n=500,arrivals=gamma,shape=0.5 \
+//	        -spec slo=gold,rate=20,n=200,bench=crc+sha-x16 \
+//	        -spec slo=bronze,rate=50,n=500 \
 //	        -seed 1 -label healthy -o report.json
 //
 // Each -spec is one client class; all run concurrently. The report gives
@@ -17,14 +17,6 @@
 // -fail-errors CLASS exits nonzero when that class saw any 5xx or
 // transport error — the CI hook for "gold never fails while replicas
 // die".
-//
-// -repeat N (with -budget-step F) is the warm-vs-cold A/B mode: the same
-// spec set runs N times in sequence against the same service, each pass
-// offsetting every request's area budget by F so warm passes dodge the
-// result cache (budget is in its key) while replaying the service's
-// exploration corpus (budget is not in the corpus key). The report then
-// holds one entry per pass — with per-class corpus hit/miss counters from
-// the X-Iscd-Corpus header — plus the cold/warm latency speedup.
 package main
 
 import (
@@ -59,14 +51,12 @@ func main() {
 	log.SetPrefix("iscload: ")
 	url := flag.String("url", "http://localhost:8080", "target service base URL (an iscd or isccluster)")
 	var specs specList
-	flag.Var(&specs, "spec", "client class spec (repeatable): slo=gold,rate=20,n=200[,arrivals=poisson|gamma|uniform][,shape=F][,bench=crc+sha-x16|all][,budget=F][,deadline_ms=N][,name=S]")
+	flag.Var(&specs, "spec", "client class spec (repeatable): slo=gold,rate=20,n=200[,bench=crc+sha-x16|all][,budget=F][,deadline_ms=N][,name=S]")
 	seed := flag.Int64("seed", 1, "rng seed for arrival schedules and benchmark picks")
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	label := flag.String("label", "", "tag the report (e.g. healthy, degraded)")
 	timeout := flag.Duration("timeout", 0, "per-request round-trip bound (0 = 120s)")
 	failErrors := flag.String("fail-errors", "", "exit 1 if this SLO class (gold/silver/bronze) saw any error")
-	repeat := flag.Int("repeat", 1, "warm-vs-cold A/B mode: run the spec set this many times in sequence (>= 2) and report per-pass corpus-hit counters plus the cold/warm speedup")
-	budgetStep := flag.Float64("budget-step", 1, "per-pass area-budget offset in -repeat mode: dodges the service's result cache (budget is in its key) while replaying the corpus (budget is not)")
 	flag.Parse()
 
 	if len(specs) == 0 {
@@ -79,33 +69,14 @@ func main() {
 	runner := &loadgen.Runner{Target: *url, Specs: specs, Seed: *seed, Timeout: *timeout}
 	start := time.Now()
 
-	var artifact any
-	var reports []*loadgen.Report
-	if *repeat > 1 {
-		ab, err := runner.RunAB(ctx, *repeat, *budgetStep)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range ab.Passes {
-			if *label != "" {
-				p.Label = *label + "/" + p.Label
-			}
-			writeSummary(p, time.Since(start))
-		}
-		fmt.Fprintf(os.Stderr, "iscload: cold/warm speedup: mean %.2fx, p50 %.2fx (budget step %g)\n",
-			ab.MeanSpeedup, ab.P50Speedup, ab.BudgetStep)
-		artifact, reports = ab, ab.Passes
-	} else {
-		report, err := runner.Run(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report.Label = *label
-		writeSummary(report, time.Since(start))
-		artifact, reports = report, []*loadgen.Report{report}
+	report, err := runner.Run(ctx)
+	if err != nil {
+		log.Fatal(err)
 	}
+	report.Label = *label
+	writeSummary(report, time.Since(start))
 
-	enc, err := json.MarshalIndent(artifact, "", "  ")
+	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,13 +89,9 @@ func main() {
 		os.Stdout.Write(enc)
 	}
 
-	if *failErrors != "" {
-		for _, report := range reports {
-			for _, c := range report.Classes {
-				if c.Class == *failErrors && c.Errors > 0 {
-					log.Fatalf("class %s saw %d errors (pass %q)", c.Class, c.Errors, report.Label)
-				}
-			}
+	for _, c := range report.Classes {
+		if c.Class == *failErrors && c.Errors > 0 {
+			log.Fatalf("class %s saw %d errors", c.Class, c.Errors)
 		}
 	}
 }

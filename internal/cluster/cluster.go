@@ -61,9 +61,6 @@ func (d SLODeadlines) For(class SLO) time.Duration {
 type Config struct {
 	// Replicas lists the iscd backends. At least one is required.
 	Replicas []ReplicaConfig
-	// Policy picks the routing preference order: "affinity" (default),
-	// "roundrobin", or "leastloaded".
-	Policy string
 
 	// HealthInterval and HealthTimeout drive the active health loop
 	// (0 = 1s / 500ms).
@@ -80,10 +77,6 @@ type Config struct {
 	MaxAttempts int
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeAfter fires a duplicate attempt at the next replica when the
-	// current one has not answered within this duration (0 = hedging off).
-	// First acceptable response wins.
-	HedgeAfter time.Duration
 
 	// Admission sizes the token-bucket admission controller.
 	Admission AdmissionConfig
@@ -103,7 +96,7 @@ type Cluster struct {
 	cfg       Config
 	tel       *telemetry.Registry
 	replicas  []*Replica
-	policy    Policy
+	ring      *Ring
 	admission *Admission
 	client    *http.Client
 	mux       *http.ServeMux
@@ -130,9 +123,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: duplicate replica name %q", rc.Name)
 		}
 		seen[rc.Name] = true
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyAffinity
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
@@ -183,10 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 	for _, rc := range cfg.Replicas {
 		c.replicas = append(c.replicas, newReplica(rc, cfg.BreakerThreshold, cfg.BreakerCooloff))
 	}
-	var err error
-	if c.policy, err = newPolicy(cfg.Policy, c.replicas); err != nil {
-		return nil, err
-	}
+	c.ring = NewRing(c.replicas)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
 	c.mux.HandleFunc("/metrics", c.handleMetrics)
 	c.mux.HandleFunc("/v1/benchmarks", c.handleBenchmarks)
@@ -294,7 +281,6 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	clusterWriteJSON(w, http.StatusOK, map[string]any{
 		"status":   status,
-		"policy":   c.policy.Name(),
 		"replicas": rows,
 	})
 }
@@ -350,11 +336,11 @@ type corpusReplica struct {
 	Stats   *corpus.Stats `json:"stats,omitempty"`
 }
 
-// handleCorpus is GET /v1/corpus: the cluster-wide corpus view. Under the
-// affinity policy the fingerprint ring that routes requests is also the
-// corpus shard map — one program's blocks always land on (and therefore
-// warm) the same replica — so the aggregate totals below describe one
-// logical corpus sharded across the fleet. The endpoint fans out to every
+// handleCorpus is GET /v1/corpus: the cluster-wide corpus view. The
+// fingerprint ring that routes requests is also the corpus shard map —
+// one program's blocks always land on (and therefore warm) the same
+// replica — so the aggregate totals below describe one logical corpus
+// sharded across the fleet. The endpoint fans out to every
 // replica concurrently and sums every counter of corpus.Stats over the
 // replicas that answered; unreachable replicas are reported per-row rather
 // than failing the whole view.
@@ -396,7 +382,6 @@ func (c *Cluster) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		total.DiskBytes += st.DiskBytes
 	}
 	clusterWriteJSON(w, http.StatusOK, map[string]any{
-		"policy":   c.policy.Name(),
 		"enabled":  enabled,
 		"replicas": rows,
 		"total":    total,
@@ -534,12 +519,6 @@ func (u *upstream) drain() bool {
 	return u.err == nil && u.status == http.StatusServiceUnavailable && u.header.Get("Retry-After") != ""
 }
 
-// retryable reports an outcome worth another attempt: transport errors
-// and 5xx (including drain — on another replica it may well succeed).
-func (u *upstream) retryable() bool {
-	return u.err != nil || u.status >= 500
-}
-
 // serveUpstream writes a routed result to the client, passing replica
 // bytes through untouched so cluster responses stay byte-identical to
 // single-node ones.
@@ -613,14 +592,14 @@ func (c *Cluster) backoff(n int) time.Duration {
 	return time.Duration(j)
 }
 
-// do is the attempt engine: walk the policy's preference order with
-// per-attempt timeouts, jittered backoff between tries, failover past
-// failed or draining replicas, and optional hedging. It returns the first
-// acceptable upstream result, or the last failure when every attempt is
-// spent. deadline is the pipeline deadline the current attempt must be
-// allowed to use in full (0 = none).
+// do is the attempt engine: walk the ring's preference order with
+// per-attempt timeouts, jittered backoff between tries, and failover past
+// failed or draining replicas. It returns the first acceptable upstream
+// result, or the last failure when every attempt is spent. deadline is
+// the pipeline deadline the current attempt must be allowed to use in
+// full (0 = none).
 func (c *Cluster) do(ctx context.Context, key string, method, path string, body []byte, deadline time.Duration) upstream {
-	seq := c.policy.Sequence(key)
+	seq := c.ring.Sequence(key)
 	cursor := 0
 	var prev *Replica
 	var last upstream
@@ -652,7 +631,7 @@ func (c *Cluster) do(ctx context.Context, key string, method, path string, body 
 			}
 		}
 		prev = rep
-		res := c.hedged(ctx, seq, cursor, rep, method, path, body, deadline)
+		res := c.attempt(ctx, rep, method, path, body, deadline)
 		res.attempts = last.attempts + 1
 		res.failovers = last.failovers
 		last = res
@@ -676,50 +655,8 @@ func (c *Cluster) do(ctx context.Context, key string, method, path string, body 
 	return last
 }
 
-// hedged runs one attempt, firing a duplicate at the next routable
-// replica if the primary has not answered within HedgeAfter. The first
-// acceptable (non-retryable) result wins; hedge losers are cancelled and
-// never counted against a breaker.
-func (c *Cluster) hedged(ctx context.Context, seq []*Replica, cursor int, primary *Replica, method, path string, body []byte, deadline time.Duration) upstream {
-	backup := (*Replica)(nil)
-	if c.cfg.HedgeAfter > 0 {
-		bc := cursor
-		backup = c.nextReplica(seq, &bc)
-	}
-	if backup == nil || backup == primary {
-		return c.attempt(ctx, primary, method, path, body, deadline)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan upstream, 2)
-	go func() { resc <- c.attempt(actx, primary, method, path, body, deadline) }()
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	launched := 1
-	select {
-	case res := <-resc:
-		return res
-	case <-timer.C:
-		c.tel.Add(telemetry.CounterHedge, 1)
-		launched = 2
-		go func() { resc <- c.attempt(actx, backup, method, path, body, deadline) }()
-	}
-	var first upstream
-	for i := 0; i < launched; i++ {
-		res := <-resc
-		if !res.retryable() {
-			return res
-		}
-		if i == 0 {
-			first = res
-		}
-	}
-	return first
-}
-
 // attempt performs one upstream HTTP exchange with its per-attempt
-// timeout (deadline + attemptSlack, or 60s for unbounded requests) and
-// maintains the replica's in-flight gauge.
+// timeout (deadline + attemptSlack, or 60s for unbounded requests).
 func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string, body []byte, deadline time.Duration) upstream {
 	timeout := 60 * time.Second
 	if deadline > 0 {
@@ -739,8 +676,6 @@ func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
 	c.tel.Add("cluster.attempts", 1)
 	resp, err := c.client.Do(req)
 	if err != nil {

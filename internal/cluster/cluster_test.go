@@ -131,7 +131,7 @@ func TestFailoverPastFlakyReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary := f.cluster.policy.Sequence(preq.Key)[0]
+	primary := f.cluster.ring.Sequence(preq.Key)[0]
 	restore, err := faultinject.Enable("replica:" + primary.Name + "=flaky:1")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestDrainReroutesWithoutTrippingBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary := f.cluster.policy.Sequence(preq.Key)[0]
+	primary := f.cluster.ring.Sequence(preq.Key)[0]
 	var draining *server.Server
 	for i, rep := range f.cluster.Replicas() {
 		if rep == primary {
@@ -336,7 +336,6 @@ func TestClusterMetricsPage(t *testing.T) {
 		"isccluster_replicas_healthy 2",
 		"isccluster_resilience_shed 0",
 		"isccluster_resilience_retry 0",
-		"isccluster_resilience_hedge 0",
 		"isccluster_resilience_failover 0",
 		"isccluster_resilience_degraded 0",
 		"isccluster_slo_silver_requests 1",
@@ -388,8 +387,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Replicas: []ReplicaConfig{{Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"}}}); err == nil {
 		t.Error("New accepted duplicate replica names")
-	}
-	if _, err := New(Config{Replicas: []ReplicaConfig{{Name: "a", URL: "http://x"}}, Policy: "frob"}); err == nil {
-		t.Error("New accepted an unknown policy")
 	}
 }

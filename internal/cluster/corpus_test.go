@@ -82,7 +82,6 @@ func TestClusterCorpusShardingAndAggregation(t *testing.T) {
 		t.Fatalf("GET /v1/corpus: status %d: %s", aresp.StatusCode, body)
 	}
 	var view struct {
-		Policy   string          `json:"policy"`
 		Enabled  int             `json:"enabled"`
 		Replicas []corpusReplica `json:"replicas"`
 		Total    corpus.Stats    `json:"total"`

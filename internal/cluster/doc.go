@@ -17,13 +17,11 @@
 //     machinery returns a best-so-far Truncated result — and gold may then
 //     borrow bronze's and silver's tokens, so under overload bronze sheds
 //     first and gold last. Shed responses are 503 + Retry-After.
-//   - Policy / Ring: pluggable replica-preference orders. The default
-//     fingerprint-affinity policy walks a consistent-hash ring keyed by
+//   - Ring: the replica-preference order. A consistent-hash ring keyed by
 //     ir.Fingerprint, the replicas' own exact program hash, so every
 //     request that can hit a replica's cache entry routes to that replica
 //     and the per-replica LRUs shard the result space instead of
-//     duplicating it; round-robin and least-loaded are alternatives for
-//     cache-cold fleets.
+//     duplicating it.
 //   - Replica / Breaker / health loop: every replica carries an active
 //     health state (healthy | degraded | down, plus draining) driven by
 //     periodic GET /healthz and passive per-request signals, and a
@@ -31,12 +29,11 @@
 //     carrying Retry-After is graceful drain, not death: it re-routes
 //     without tripping the breaker.
 //   - Cluster.do: the attempt engine — per-attempt timeouts, jittered
-//     exponential backoff, failover to the next replica in preference
-//     order, and optional hedging (a duplicate attempt fired at the next
-//     replica when the first is slow). Response bytes pass through
+//     exponential backoff, and failover to the next replica in preference
+//     order. Response bytes pass through
 //     untouched, so a cluster answer is byte-identical to the single-node
 //     answer for the same effective request.
 //
 // Main entry points: New, Cluster.Handler, Cluster.Start/Close,
-// ParseRequest, ParseSLO, Policies.
+// ParseRequest, ParseSLO.
 package cluster

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,16 +44,14 @@ type ReplicaConfig struct {
 }
 
 // Replica is one iscd backend plus everything the router tracks about it:
-// active health state, drain flag, circuit breaker, and the in-flight
-// counter the least-loaded policy reads. All mutable state is its own —
-// replicas are shared by every request goroutine.
+// active health state, drain flag and circuit breaker. All mutable state
+// is its own — replicas are shared by every request goroutine.
 type Replica struct {
 	// Name and URL are fixed at construction.
 	Name string
 	URL  string
 
-	breaker  *Breaker
-	inflight atomic.Int64
+	breaker *Breaker
 
 	mu       sync.Mutex
 	state    State
@@ -69,10 +66,6 @@ func newReplica(cfg ReplicaConfig, breakerThreshold int, breakerCooloff time.Dur
 		breaker: NewBreaker(breakerThreshold, breakerCooloff),
 	}
 }
-
-// Inflight returns the number of cluster attempts currently running on
-// this replica.
-func (r *Replica) Inflight() int64 { return r.inflight.Load() }
 
 // State returns the replica's current health state.
 func (r *Replica) State() State {

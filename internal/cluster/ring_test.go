@@ -18,7 +18,7 @@ func testReplicas(n int) []*Replica {
 
 // The ring must give every key a full, duplicate-free preference order.
 func TestRingSequenceCoversAllReplicasOnce(t *testing.T) {
-	ring := NewRing(testReplicas(5), 0)
+	ring := NewRing(testReplicas(5))
 	for i := 0; i < 100; i++ {
 		seq := ring.Sequence(fmt.Sprintf("key-%d", i))
 		if len(seq) != 5 {
@@ -38,7 +38,7 @@ func TestRingSequenceCoversAllReplicasOnce(t *testing.T) {
 // fingerprint affinity.
 func TestRingIsDeterministic(t *testing.T) {
 	reps := testReplicas(3)
-	a, b := NewRing(reps, 64), NewRing(reps, 64)
+	a, b := NewRing(reps), NewRing(reps)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("fingerprint-%d", i)
 		sa, sb := a.Sequence(key), b.Sequence(key)
@@ -53,7 +53,7 @@ func TestRingIsDeterministic(t *testing.T) {
 // Virtual nodes must spread keys roughly evenly: no replica may own more
 // than half of a large keyspace on a 3-replica ring.
 func TestRingBalance(t *testing.T) {
-	ring := NewRing(testReplicas(3), 0)
+	ring := NewRing(testReplicas(3))
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -70,8 +70,8 @@ func TestRingBalance(t *testing.T) {
 // hashing's defining property, and what keeps the sharded cache warm.
 func TestRingRemovalOnlyRemapsOwnedKeys(t *testing.T) {
 	reps := testReplicas(4)
-	full := NewRing(reps, 0)
-	smaller := NewRing(reps[:3], 0)
+	full := NewRing(reps)
+	smaller := NewRing(reps[:3])
 	moved := 0
 	const keys = 2000
 	for i := 0; i < keys; i++ {
@@ -87,43 +87,5 @@ func TestRingRemovalOnlyRemapsOwnedKeys(t *testing.T) {
 	}
 	if moved != 0 {
 		t.Errorf("%d keys not owned by the removed replica were remapped, want 0", moved)
-	}
-}
-
-// Round-robin must rotate the most-preferred replica across requests.
-func TestRoundRobinRotates(t *testing.T) {
-	p := &roundRobin{replicas: testReplicas(3)}
-	counts := map[string]int{}
-	for i := 0; i < 9; i++ {
-		counts[p.Sequence("same-key")[0].Name]++
-	}
-	for name, n := range counts {
-		if n != 3 {
-			t.Errorf("round-robin gave %s %d/9 firsts, want 3: %v", name, n, counts)
-		}
-	}
-}
-
-// Least-loaded must prefer the replica with the fewest in-flight
-// attempts, with a deterministic name tie-break.
-func TestLeastLoadedPrefersIdle(t *testing.T) {
-	reps := testReplicas(3)
-	p := &leastLoaded{replicas: reps}
-	reps[0].inflight.Add(5)
-	reps[1].inflight.Add(1)
-	seq := p.Sequence("any")
-	if seq[0].Name != "r3" || seq[1].Name != "r2" || seq[2].Name != "r1" {
-		t.Errorf("least-loaded order = [%s %s %s], want [r3 r2 r1]", seq[0].Name, seq[1].Name, seq[2].Name)
-	}
-}
-
-func TestValidPolicy(t *testing.T) {
-	for _, name := range Policies() {
-		if err := ValidPolicy(name); err != nil {
-			t.Errorf("ValidPolicy(%q) = %v", name, err)
-		}
-	}
-	if err := ValidPolicy("random"); err == nil {
-		t.Error("ValidPolicy accepted an unknown policy")
 	}
 }

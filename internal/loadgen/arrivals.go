@@ -2,105 +2,40 @@ package loadgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
 
-// Arrivals is an inter-arrival-time process: Next returns the gap before
-// the next request. Implementations are deterministic given their seeded
-// rng, so a load run is reproducible.
-type Arrivals interface {
-	Next() time.Duration
-}
+// ArrivalPoisson names the one arrival process: memoryless traffic,
+// exponential gaps, CV 1.
+const ArrivalPoisson = "poisson"
 
-// Arrival process names accepted by NewArrivals.
-const (
-	// ArrivalPoisson is memoryless traffic: exponential gaps, CV 1.
-	ArrivalPoisson = "poisson"
-	// ArrivalGamma draws Gamma-distributed gaps with a shape knob: shape
-	// < 1 is burstier than Poisson, shape > 1 smoother. Mean rate is
-	// preserved.
-	ArrivalGamma = "gamma"
-	// ArrivalUniform is a metronome: constant gaps at the configured rate.
-	ArrivalUniform = "uniform"
-)
-
-// ArrivalKinds lists the supported processes.
-func ArrivalKinds() []string { return []string{ArrivalPoisson, ArrivalGamma, ArrivalUniform} }
-
-// NewArrivals builds the named process at rate requests/second. shape is
-// only consulted by gamma (0 defaults to 2: mildly smoother than
-// Poisson). The rng must be dedicated to this process — Arrivals are not
-// safe for concurrent use.
-func NewArrivals(kind string, rate, shape float64, rng *rand.Rand) (Arrivals, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("arrival rate %g must be positive", rate)
-	}
-	switch kind {
-	case ArrivalPoisson, "":
-		return &poisson{rate: rate, rng: rng}, nil
-	case ArrivalGamma:
-		if shape == 0 {
-			shape = 2
-		}
-		if shape < 0 {
-			return nil, fmt.Errorf("gamma shape %g must be positive", shape)
-		}
-		return &gamma{shape: shape, scale: 1 / (rate * shape), rng: rng}, nil
-	case ArrivalUniform:
-		return &uniform{gap: time.Duration(float64(time.Second) / rate)}, nil
-	}
-	return nil, fmt.Errorf("unknown arrival process %q (want one of %v)", kind, ArrivalKinds())
-}
-
-type poisson struct {
+// Poisson is an open-loop arrival clock: Next returns the exponentially
+// distributed gap before the next request. It is deterministic given its
+// seeded rng, so a load run is reproducible, and not safe for concurrent
+// use.
+type Poisson struct {
 	rate float64
 	rng  *rand.Rand
 }
 
-func (p *poisson) Next() time.Duration {
+// NewArrivals builds the Poisson process at rate requests/second. kind
+// must be ArrivalPoisson or "" and shape must be 0: no other process
+// exists. The rng must be dedicated to this process.
+func NewArrivals(kind string, rate, shape float64, rng *rand.Rand) (*Poisson, error) {
+	if kind != ArrivalPoisson && kind != "" {
+		return nil, fmt.Errorf("unknown arrival process %q (want %q)", kind, ArrivalPoisson)
+	}
+	if shape != 0 {
+		return nil, fmt.Errorf("arrival shape %g given, but %s arrivals take none", shape, ArrivalPoisson)
+	}
+	if rate <= 0 {
+		return nil, fmt.Errorf("arrival rate %g must be positive", rate)
+	}
+	return &Poisson{rate: rate, rng: rng}, nil
+}
+
+// Next returns the gap before the next arrival.
+func (p *Poisson) Next() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() / p.rate * float64(time.Second))
 }
-
-type gamma struct {
-	shape, scale float64
-	rng          *rand.Rand
-}
-
-func (g *gamma) Next() time.Duration {
-	return time.Duration(sampleGamma(g.rng, g.shape, g.scale) * float64(time.Second))
-}
-
-// sampleGamma draws Gamma(shape k, scale θ) via Marsaglia–Tsang squeeze
-// (k >= 1) with the standard U^(1/k) boost for k < 1.
-func sampleGamma(rng *rand.Rand, k, theta float64) float64 {
-	if k < 1 {
-		// G(k) = G(k+1) · U^(1/k)
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return sampleGamma(rng, k+1, theta) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * theta
-		}
-	}
-}
-
-type uniform struct {
-	gap time.Duration
-}
-
-func (u *uniform) Next() time.Duration { return u.gap }

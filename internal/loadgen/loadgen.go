@@ -61,7 +61,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		// benchmarks, so changing the mix does not perturb the schedule.
 		arrivalRng := rand.New(rand.NewSource(seed + int64(i)*7919))
 		pickRng := rand.New(rand.NewSource(seed + int64(i)*7919 + 1))
-		arrivals, err := NewArrivals(spec.Arrivals, spec.Rate, spec.Shape, arrivalRng)
+		arrivals, err := NewArrivals(ArrivalPoisson, spec.Rate, 0, arrivalRng)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: spec %s: %v", spec.Name, err)
 		}
@@ -72,13 +72,13 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		}(spec)
 	}
 	wg.Wait()
-	return rec.Build(r.Target, "", time.Since(start)), nil
+	return rec.Build(r.Target, time.Since(start)), nil
 }
 
 // runSpec is one spec's open loop: sleep to each scheduled arrival, fire
 // the request on its own goroutine (arrivals never wait for completions),
 // and record every outcome.
-func (r *Runner) runSpec(ctx context.Context, client *http.Client, timeout time.Duration, spec Spec, arrivals Arrivals, pickRng *rand.Rand, rec *Recorder) {
+func (r *Runner) runSpec(ctx context.Context, client *http.Client, timeout time.Duration, spec Spec, arrivals *Poisson, pickRng *rand.Rand, rec *Recorder) {
 	var inner sync.WaitGroup
 	defer inner.Wait()
 	next := time.Now()

@@ -13,16 +13,15 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec("slo=gold,rate=20,n=100,arrivals=gamma,shape=0.5,bench=crc+sha,budget=7,deadline_ms=1500,name=vip")
+	spec, err := ParseSpec("slo=gold,rate=20,n=100,bench=crc+sha,budget=7,deadline_ms=1500,name=vip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Spec{
-		Name: "vip", SLO: "gold", Rate: 20, Arrivals: "gamma", Shape: 0.5,
+		Name: "vip", SLO: "gold", Rate: 20,
 		Benchmarks: []string{"crc", "sha"}, Requests: 100, Budget: 7, DeadlineMS: 1500,
 	}
 	if spec.Name != want.Name || spec.SLO != want.SLO || spec.Rate != want.Rate ||
-		spec.Arrivals != want.Arrivals || spec.Shape != want.Shape ||
 		spec.Requests != want.Requests || spec.Budget != want.Budget ||
 		spec.DeadlineMS != want.DeadlineMS || len(spec.Benchmarks) != 2 {
 		t.Errorf("ParseSpec = %+v, want %+v", spec, want)
@@ -34,7 +33,7 @@ func TestParseSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.SLO != "silver" || spec.Name != "silver" || spec.Arrivals != ArrivalPoisson || spec.Budget != 5 {
+	if spec.SLO != "silver" || spec.Name != "silver" || spec.Budget != 5 {
 		t.Errorf("defaults: %+v", spec)
 	}
 	// Default mix: 16 seed benchmarks + sha-x16.
@@ -54,28 +53,18 @@ func TestParseSpecDefaults(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",                               // no rate/n
-		"rate=5",                         // no n
-		"rate=0,n=10",                    // bad rate
-		"rate=5,n=10,slo=platinum",       // bad slo
-		"rate=5,n=10,bench=nonesuch",     // unknown benchmark
-		"rate=5,n=10,bench=crc-xq",       // bad unroll factor
-		"rate=5,n=10,frobnicate=1",       // unknown key
-		"rate=five,n=10",                 // unparsable number
-		"rate=5,n=10,arrivals=lognormal", // checked at run time
+		"",                           // no rate/n
+		"rate=5",                     // no n
+		"rate=0,n=10",                // bad rate
+		"rate=5,n=10,slo=platinum",   // bad slo
+		"rate=5,n=10,bench=nonesuch", // unknown benchmark
+		"rate=5,n=10,bench=crc-xq",   // bad unroll factor
+		"rate=5,n=10,frobnicate=1",   // unknown key
+		"rate=5,n=10,arrivals=gamma", // unknown key: arrivals are Poisson
+		"rate=5,n=10,shape=0.5",      // unknown key
+		"rate=five,n=10",             // unparsable number
 	} {
 		spec, err := ParseSpec(bad)
-		if bad == "rate=5,n=10,arrivals=lognormal" {
-			// Arrival kinds are validated by NewArrivals; ParseSpec accepts
-			// the string, the runner rejects it.
-			if err != nil {
-				t.Errorf("ParseSpec(%q) rejected early: %v", bad, err)
-			}
-			if _, err := NewArrivals(spec.Arrivals, spec.Rate, 0, rand.New(rand.NewSource(1))); err == nil {
-				t.Errorf("NewArrivals accepted %q", spec.Arrivals)
-			}
-			continue
-		}
 		if err == nil {
 			t.Errorf("ParseSpec(%q) = %+v, want error", bad, spec)
 		}
@@ -127,24 +116,20 @@ func TestRequestBodySynthBenchmark(t *testing.T) {
 	}
 }
 
-// Arrival processes must hit their configured mean rate and be
+// Poisson arrivals must hit their configured mean rate and be
 // reproducible for a fixed seed.
 func TestArrivalsMeanRate(t *testing.T) {
-	for _, kind := range ArrivalKinds() {
-		rng := rand.New(rand.NewSource(42))
-		a, err := NewArrivals(kind, 100, 2, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum time.Duration
-		const n = 5000
-		for i := 0; i < n; i++ {
-			sum += a.Next()
-		}
-		mean := sum.Seconds() / n
-		if math.Abs(mean-0.01) > 0.002 {
-			t.Errorf("%s: mean gap %.5fs, want ~0.01s", kind, mean)
-		}
+	a, err := NewArrivals(ArrivalPoisson, 100, 0, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	const n = 5000
+	for i := 0; i < n; i++ {
+		sum += a.Next()
+	}
+	if mean := sum.Seconds() / n; math.Abs(mean-0.01) > 0.002 {
+		t.Errorf("mean gap %.5fs, want ~0.01s", mean)
 	}
 
 	a1, _ := NewArrivals(ArrivalPoisson, 10, 0, rand.New(rand.NewSource(7)))
@@ -156,35 +141,24 @@ func TestArrivalsMeanRate(t *testing.T) {
 	}
 }
 
-// Gamma shape must control burstiness: shape 0.5 has a higher
-// coefficient of variation than Poisson (1), shape 8 a lower one.
-func TestGammaShapeControlsBurstiness(t *testing.T) {
-	cv := func(shape float64) float64 {
-		rng := rand.New(rand.NewSource(9))
-		a, err := NewArrivals(ArrivalGamma, 50, shape, rng)
-		if err != nil {
-			t.Fatal(err)
+// NewArrivals builds only Poisson arrivals at a positive rate.
+func TestNewArrivalsRejects(t *testing.T) {
+	for _, c := range []struct {
+		kind        string
+		rate, shape float64
+	}{
+		{"gamma", 10, 0},
+		{"uniform", 10, 0},
+		{ArrivalPoisson, 10, 0.5},
+		{ArrivalPoisson, 0, 0},
+		{"", -1, 0},
+	} {
+		if _, err := NewArrivals(c.kind, c.rate, c.shape, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("NewArrivals(%q, %g, %g) accepted", c.kind, c.rate, c.shape)
 		}
-		var xs []float64
-		var sum float64
-		for i := 0; i < 4000; i++ {
-			x := a.Next().Seconds()
-			xs = append(xs, x)
-			sum += x
-		}
-		mean := sum / float64(len(xs))
-		var varsum float64
-		for _, x := range xs {
-			varsum += (x - mean) * (x - mean)
-		}
-		return math.Sqrt(varsum/float64(len(xs))) / mean
 	}
-	bursty, smooth := cv(0.5), cv(8)
-	if bursty < 1.1 {
-		t.Errorf("shape 0.5 CV = %.2f, want > 1.1 (burstier than Poisson)", bursty)
-	}
-	if smooth > 0.6 {
-		t.Errorf("shape 8 CV = %.2f, want < 0.6 (smoother than Poisson)", smooth)
+	if _, err := NewArrivals("", 10, 0, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf(`NewArrivals("") = %v, want Poisson`, err)
 	}
 }
 
@@ -211,7 +185,7 @@ func TestRunnerAgainstStub(t *testing.T) {
 	}))
 	defer stub.Close()
 
-	spec, err := ParseSpec("slo=gold,rate=500,n=40,bench=crc,arrivals=uniform")
+	spec, err := ParseSpec("slo=gold,rate=500,n=40,bench=crc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,8 @@ type ClassStats struct {
 	ShedRate       float64 `json:"shed_rate"`
 }
 
-// Report is a load run's result: per-class and aggregate stats, JSON-
-// serializable as a BENCH artifact.
+// Report is a load run's result: per-class and aggregate stats, written
+// as JSON by iscload.
 type Report struct {
 	// Target is the URL the run hit; Label tags the run ("healthy",
 	// "degraded").
@@ -109,11 +109,10 @@ func (r *Recorder) Outcomes() []Outcome {
 }
 
 // Build renders the report for a finished run.
-func (r *Recorder) Build(target, label string, wall time.Duration) *Report {
+func (r *Recorder) Build(target string, wall time.Duration) *Report {
 	outcomes := r.Outcomes()
 	rep := &Report{
 		Target:      target,
-		Label:       label,
 		WallSeconds: wall.Seconds(),
 		Sent:        len(outcomes),
 		All:         buildClass("all", outcomes),

@@ -18,19 +18,15 @@ import (
 // arrives, and what it asks for. Parse one from its wire form with
 // ParseSpec:
 //
-//	slo=gold,rate=20,n=200,arrivals=poisson,bench=crc+sha-x16,budget=5,deadline_ms=2000
+//	slo=gold,rate=20,n=200,bench=crc+sha-x16,budget=5,deadline_ms=2000
 type Spec struct {
 	// Name labels the spec in the report ("" = the SLO class name).
 	Name string
 	// SLO is the class every request carries: gold, silver, or bronze
 	// ("" = silver).
 	SLO string
-	// Rate is the arrival rate in requests/second (required, > 0).
+	// Rate is the Poisson arrival rate in requests/second (required, > 0).
 	Rate float64
-	// Arrivals names the inter-arrival process ("" = poisson); Shape is
-	// gamma's shape knob.
-	Arrivals string
-	Shape    float64
 	// Benchmarks is the request mix, drawn uniformly per request. Entries
 	// are seed benchmark names, unrolled variants like "sha-x16", or
 	// seeded synthetic programs like "synth:seed=3:blocks=8:ops=512"
@@ -68,10 +64,6 @@ func ParseSpec(s string) (Spec, error) {
 			spec.SLO = v
 		case "rate":
 			spec.Rate, err = strconv.ParseFloat(v, 64)
-		case "arrivals":
-			spec.Arrivals = v
-		case "shape":
-			spec.Shape, err = strconv.ParseFloat(v, 64)
 		case "bench":
 			if v != "all" {
 				spec.Benchmarks = strings.Split(v, "+")
@@ -110,9 +102,6 @@ func (s Spec) withDefaults() (Spec, error) {
 	}
 	if s.Name == "" {
 		s.Name = s.SLO
-	}
-	if s.Arrivals == "" {
-		s.Arrivals = ArrivalPoisson
 	}
 	if s.Budget == 0 {
 		s.Budget = 5

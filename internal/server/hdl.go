@@ -96,6 +96,10 @@ func requestFromQuery(q url.Values) (Request, error) {
 // fingerprint-times-config scheme as /v1/customize under a distinct kind
 // prefix.
 func (s *Server) handleHDL(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "want GET or POST")
+		return
+	}
 	s.tel.Add("server.hdl.requests", 1)
 	s.serve(w, r, "hdl", renderHDL)
 }

@@ -109,6 +109,39 @@ func TestWildcardServerFault(t *testing.T) {
 	}
 }
 
+// A method an endpoint does not serve is refused before the request is
+// counted or reaches the replica fault site, so even a sick replica
+// answers it 405.
+func TestBadMethodRefusedBeforeReplicaFault(t *testing.T) {
+	_, tel, ts := newTestServer(t, Config{})
+	restore, err := faultinject.Enable("replica:iscd=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	for _, c := range []struct{ method, kind, counter string }{
+		{http.MethodDelete, "hdl", "server.hdl.requests"},
+		{http.MethodGet, "customize", "server.requests"},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+"/v1/"+c.kind, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s /v1/%s under a replica fault = %d, want 405", c.method, c.kind, resp.StatusCode)
+		}
+		if n := counter(tel, c.counter); n != 0 {
+			t.Errorf("%s /v1/%s moved %s to %d, want 0", c.method, c.kind, c.counter, n)
+		}
+	}
+	// The fault is armed: a served method still hits it.
+	if resp, body := postKind(t, ts.URL, "hdl", `{"benchmark":"crc","budget":5}`); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("POST /v1/hdl under a replica fault = %d, want 500: %s", resp.StatusCode, body)
+	}
+}
+
 // A coalesced follower owns nothing but the leader's done channel: it
 // must receive the full result even when the leader's client disconnects
 // mid-run (the detached run context keeps the pipeline alive) while the

@@ -357,9 +357,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind string, rend
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	req, status, err := decodeRequest(w, r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req = req.Normalized(s.cfg.DefaultDeadline)
@@ -377,26 +377,21 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind string, rend
 }
 
 // decodeRequest reads a Request from the query of a GET or the JSON body
-// of a POST (bounded by maxRequestBytes), with the HTTP status to use on
-// failure. /v1/customize refuses GET in its handler, so only /v1/hdl
-// reaches the GET branch and the 405.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, int, error) {
+// of a POST (bounded by maxRequestBytes). Each handler has already
+// refused the methods it does not serve, so any failure is a 400.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	var req Request
-	switch r.Method {
-	case http.MethodGet:
-		q, err := requestFromQuery(r.URL.Query())
-		return q, http.StatusBadRequest, err
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err != nil {
-			return req, http.StatusBadRequest, fmt.Errorf("reading body: %v", err)
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			return req, http.StatusBadRequest, fmt.Errorf("bad request JSON: %v", err)
-		}
-		return req, 0, nil
+	if r.Method == http.MethodGet {
+		return requestFromQuery(r.URL.Query())
 	}
-	return req, http.StatusMethodNotAllowed, fmt.Errorf("want GET or POST")
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		return req, fmt.Errorf("reading body: %v", err)
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, fmt.Errorf("bad request JSON: %v", err)
+	}
+	return req, nil
 }
 
 // handleCorpus is GET /v1/corpus: the exploration corpus's statistics —
