@@ -5,6 +5,13 @@
 // admission control with SLO classes (gold/silver/bronze) that shed load
 // by shrinking deadlines before rejecting.
 //
+// Its only flags are -addr, -replica and the shared -trace and -pprof.
+// The tuning is fixed: a health probe every second (500ms timeout), a
+// breaker that opens after 3 consecutive failures and probes again after
+// 2s, one attempt per replica plus one retry, 100 admissions/s (burst
+// 200) per class plus a shared degraded pool of 50/s (burst 100), and
+// default deadlines of 30s (gold), 10s (silver) and 3s (bronze).
+//
 // Usage:
 //
 //	iscd -addr localhost:8081 -name r1 &
@@ -57,20 +64,6 @@ func main() {
 	addr := flag.String("addr", "localhost:9090", "listen address")
 	var replicas replicaList
 	flag.Var(&replicas, "replica", "iscd replica as name=url (repeatable, at least one)")
-	hcInterval := flag.Duration("hc-interval", time.Second, "active health-probe interval")
-	hcTimeout := flag.Duration("hc-timeout", 500*time.Millisecond, "health-probe timeout")
-	attempts := flag.Int("attempts", 0, "max attempts per request across replicas (0 = replicas+1)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a replica's circuit breaker")
-	breakerCooloff := flag.Duration("breaker-cooloff", 2*time.Second, "how long an open breaker waits before a half-open probe")
-	goldRate := flag.Float64("gold-rate", 100, "gold admission tokens/second")
-	silverRate := flag.Float64("silver-rate", 100, "silver admission tokens/second")
-	bronzeRate := flag.Float64("bronze-rate", 100, "bronze admission tokens/second")
-	goldBurst := flag.Float64("gold-burst", 0, "gold admission burst depth (0 = 200)")
-	silverBurst := flag.Float64("silver-burst", 0, "silver admission burst depth (0 = 200)")
-	bronzeBurst := flag.Float64("bronze-burst", 0, "bronze admission burst depth (0 = 200)")
-	goldDeadline := flag.Duration("gold-deadline", 30*time.Second, "default deadline for gold requests")
-	silverDeadline := flag.Duration("silver-deadline", 10*time.Second, "default deadline for silver requests")
-	bronzeDeadline := flag.Duration("bronze-deadline", 3*time.Second, "default deadline for bronze requests")
 	var cli core.CLI
 	cli.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
@@ -83,24 +76,7 @@ func main() {
 	if err := cli.Start("isccluster"); err != nil {
 		log.Fatal(err)
 	}
-	cfg := cluster.Config{
-		Replicas:         replicas,
-		HealthInterval:   *hcInterval,
-		HealthTimeout:    *hcTimeout,
-		MaxAttempts:      *attempts,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooloff:   *breakerCooloff,
-		Telemetry:        cli.Telemetry,
-	}
-	cfg.Admission.Gold.Rate = *goldRate
-	cfg.Admission.Silver.Rate = *silverRate
-	cfg.Admission.Bronze.Rate = *bronzeRate
-	cfg.Admission.Gold.Burst = *goldBurst
-	cfg.Admission.Silver.Burst = *silverBurst
-	cfg.Admission.Bronze.Burst = *bronzeBurst
-	cfg.Deadlines = cluster.SLODeadlines{Gold: *goldDeadline, Silver: *silverDeadline, Bronze: *bronzeDeadline}
-
-	cl, err := cluster.New(cfg)
+	cl, err := cluster.New(cluster.Config{Replicas: replicas, Telemetry: cli.Telemetry})
 	if err != nil {
 		log.Fatal(err)
 	}

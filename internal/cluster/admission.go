@@ -18,15 +18,8 @@ type Bucket struct {
 }
 
 // NewBucket returns a full bucket refilling at rate tokens/second up to
-// burst. Non-positive parameters are clamped to a minimal working bucket
-// (rate 1/s, burst 1).
+// burst.
 func NewBucket(rate, burst float64) *Bucket {
-	if rate <= 0 {
-		rate = 1
-	}
-	if burst < 1 {
-		burst = 1
-	}
 	b := &Bucket{tokens: burst, burst: burst, rate: rate, now: time.Now}
 	b.last = b.now()
 	return b
@@ -62,38 +55,17 @@ func (b *Bucket) Eta() time.Duration {
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// ClassLimits sizes one SLO class's token bucket.
-type ClassLimits struct {
-	// Rate is the steady-state admission rate in requests/second.
-	Rate float64
-	// Burst is the bucket depth: how far above Rate a transient spike may
-	// ride before degrading starts.
-	Burst float64
-}
-
-// AdmissionConfig sizes the four buckets of the admission controller. Zero
-// limits take generous defaults (a cluster that was not configured to
-// shed should not shed).
-type AdmissionConfig struct {
-	// Gold, Silver, Bronze are the per-class buckets: a request is fully
-	// admitted — full deadline — while its class bucket has tokens.
-	Gold, Silver, Bronze ClassLimits
-	// Degraded is the shared overflow pool: a request whose class bucket
-	// is empty is admitted with a shrunken deadline from here before any
-	// shedding happens. Anytime truncation is the cluster's pressure-relief
-	// valve; 503 is the last resort.
-	Degraded ClassLimits
-}
-
-func (c ClassLimits) orDefault(d ClassLimits) ClassLimits {
-	if c.Rate <= 0 {
-		c.Rate = d.Rate
-	}
-	if c.Burst <= 0 {
-		c.Burst = d.Burst
-	}
-	return c
-}
+// The admission buckets are generous: a cluster should not shed at the
+// load it was sized for. A request is fully admitted (full deadline)
+// while its class bucket, classRate tokens/second up to classBurst, has
+// tokens. Past that it is admitted with a shrunken deadline from the
+// shared degraded pool (degradedRate up to degradedBurst) before any
+// shedding happens: anytime truncation is the cluster's pressure-relief
+// valve, and 503 is the last resort.
+const (
+	classRate, classBurst       = 100, 200
+	degradedRate, degradedBurst = 50, 100
+)
 
 // Decision is the admission controller's verdict on one request.
 type Decision struct {
@@ -117,20 +89,15 @@ type Admission struct {
 	degraded *Bucket
 }
 
-// NewAdmission builds the controller from cfg, defaulting unset limits.
-func NewAdmission(cfg AdmissionConfig) *Admission {
-	def := ClassLimits{Rate: 100, Burst: 200}
-	g := cfg.Gold.orDefault(def)
-	s := cfg.Silver.orDefault(def)
-	b := cfg.Bronze.orDefault(def)
-	d := cfg.Degraded.orDefault(ClassLimits{Rate: 50, Burst: 100})
+// NewAdmission builds the controller with full buckets.
+func NewAdmission() *Admission {
 	return &Admission{
 		class: map[SLO]*Bucket{
-			Gold:   NewBucket(g.Rate, g.Burst),
-			Silver: NewBucket(s.Rate, s.Burst),
-			Bronze: NewBucket(b.Rate, b.Burst),
+			Gold:   NewBucket(classRate, classBurst),
+			Silver: NewBucket(classRate, classBurst),
+			Bronze: NewBucket(classRate, classBurst),
 		},
-		degraded: NewBucket(d.Rate, d.Burst),
+		degraded: NewBucket(degradedRate, degradedBurst),
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 // newTestAdmission builds a controller with tiny buckets on a fake clock
 // so tests can drain and refill capacity deterministically.
 func newTestAdmission(clk *fakeClock, class, degraded float64) *Admission {
-	a := NewAdmission(AdmissionConfig{
-		Gold:     ClassLimits{Rate: 1, Burst: class},
-		Silver:   ClassLimits{Rate: 1, Burst: class},
-		Bronze:   ClassLimits{Rate: 1, Burst: class},
-		Degraded: ClassLimits{Rate: 1, Burst: degraded},
-	})
+	a := &Admission{
+		class: map[SLO]*Bucket{
+			Gold:   NewBucket(1, class),
+			Silver: NewBucket(1, class),
+			Bronze: NewBucket(1, class),
+		},
+		degraded: NewBucket(1, degraded),
+	}
 	for _, b := range a.class {
 		b.now = clk.now
 		b.last = clk.now()

@@ -44,14 +44,8 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker opening after threshold consecutive
-// failures (min 1) and probing after cooloff (min 1ms).
+// failures and probing after cooloff.
 func NewBreaker(threshold int, cooloff time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooloff < time.Millisecond {
-		cooloff = time.Millisecond
-	}
 	return &Breaker{threshold: threshold, cooloff: cooloff, now: time.Now}
 }
 

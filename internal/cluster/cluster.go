@@ -33,73 +33,53 @@ const (
 	deadlineFloor = 50 * time.Millisecond
 	// jitterSeed fixes the backoff jitter, so retry timing replays.
 	jitterSeed = 1
+	// healthInterval spaces the active health probes; healthTimeout
+	// bounds each one. corpusTimeout bounds one replica's GET /v1/corpus
+	// (stats are a lock-and-copy, never pipeline work).
+	healthInterval = time.Second
+	healthTimeout  = 500 * time.Millisecond
+	corpusTimeout  = time.Second
+	// breakerThreshold consecutive failures open a replica's circuit
+	// breaker for breakerCooloff before a half-open probe.
+	breakerThreshold = 3
+	breakerCooloff   = 2 * time.Second
+	// Retries back off exponentially from backoffBase to backoffMax with
+	// full jitter.
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
 )
 
-// SLODeadlines maps each service class onto its default pipeline deadline:
-// the knob that ties the cluster's overload story to the anytime
+// classDeadlines maps each service class onto its default pipeline
+// deadline: what ties the cluster's overload story to the anytime
 // machinery. A request carrying its own deadline_ms keeps it; degraded
 // admission multiplies whichever applies by degradeFactor.
-type SLODeadlines struct {
-	// Gold, Silver, Bronze are the per-class defaults (0 = the package
-	// default: 30s / 10s / 3s).
-	Gold, Silver, Bronze time.Duration
+var classDeadlines = [...]time.Duration{
+	Gold:   30 * time.Second,
+	Silver: 10 * time.Second,
+	Bronze: 3 * time.Second,
 }
 
-// For returns the class's deadline.
-func (d SLODeadlines) For(class SLO) time.Duration {
-	switch class {
-	case Gold:
-		return d.Gold
-	case Silver:
-		return d.Silver
-	}
-	return d.Bronze
-}
-
-// Config parameterizes a Cluster. Only Replicas is required; every other
-// zero value takes a production-shaped default.
+// Config parameterizes a Cluster. Only Replicas is required; the routing,
+// health, retry and admission tuning is fixed by the package constants.
 type Config struct {
 	// Replicas lists the iscd backends. At least one is required.
 	Replicas []ReplicaConfig
-
-	// HealthInterval and HealthTimeout drive the active health loop
-	// (0 = 1s / 500ms).
-	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-	// BreakerThreshold consecutive failures open a replica's circuit
-	// breaker for BreakerCooloff before a half-open probe (0 = 3 / 2s).
-	BreakerThreshold int
-	BreakerCooloff   time.Duration
-
-	// MaxAttempts bounds tries per request including the first
-	// (0 = replicas+1). Retries back off exponentially from BackoffBase to
-	// BackoffMax with full jitter (0 = 10ms / 500ms).
-	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// Admission sizes the token-bucket admission controller.
-	Admission AdmissionConfig
-	// Deadlines maps SLO classes onto default pipeline deadlines.
-	Deadlines SLODeadlines
-
 	// Telemetry receives the router's counters and gauges (nil = fresh
 	// registry).
 	Telemetry *telemetry.Registry
-	// Client performs upstream HTTP (nil = a dedicated transport).
-	Client *http.Client
 }
 
 // Cluster is the router: create with New, mount Handler, call Start to
 // begin active health checking and Close to stop it.
 type Cluster struct {
-	cfg       Config
 	tel       *telemetry.Registry
 	replicas  []*Replica
 	ring      *Ring
 	admission *Admission
-	client    *http.Client
 	mux       *http.ServeMux
+	// maxAttempts bounds tries per request including the first: one per
+	// replica plus one retry.
+	maxAttempts int
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -124,54 +104,20 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		seen[rc.Name] = true
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 500 * time.Millisecond
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooloff <= 0 {
-		cfg.BreakerCooloff = 2 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Replicas) + 1
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 10 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 500 * time.Millisecond
-	}
-	if cfg.Deadlines.Gold <= 0 {
-		cfg.Deadlines.Gold = 30 * time.Second
-	}
-	if cfg.Deadlines.Silver <= 0 {
-		cfg.Deadlines.Silver = 10 * time.Second
-	}
-	if cfg.Deadlines.Bronze <= 0 {
-		cfg.Deadlines.Bronze = 3 * time.Second
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New("isccluster")
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		tel:       tel,
-		admission: NewAdmission(cfg.Admission),
-		client:    cfg.Client,
-		mux:       http.NewServeMux(),
-		jitter:    rand.New(rand.NewSource(jitterSeed)),
-		stop:      make(chan struct{}),
-	}
-	if c.client == nil {
-		c.client = &http.Client{}
+		tel:         tel,
+		admission:   NewAdmission(),
+		mux:         http.NewServeMux(),
+		maxAttempts: len(cfg.Replicas) + 1,
+		jitter:      rand.New(rand.NewSource(jitterSeed)),
+		stop:        make(chan struct{}),
 	}
 	for _, rc := range cfg.Replicas {
-		c.replicas = append(c.replicas, newReplica(rc, cfg.BreakerThreshold, cfg.BreakerCooloff))
+		c.replicas = append(c.replicas, newReplica(rc))
 	}
 	c.ring = NewRing(c.replicas)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
@@ -185,17 +131,14 @@ func New(cfg Config) (*Cluster, error) {
 // Handler returns the HTTP handler serving the cluster API.
 func (c *Cluster) Handler() http.Handler { return c.mux }
 
-// Replicas exposes the replica set (health reporting and tests).
-func (c *Cluster) Replicas() []*Replica { return c.replicas }
-
 // Start launches the active health loop: every replica is probed
-// immediately and then every HealthInterval until Close.
+// immediately and then every healthInterval until Close.
 func (c *Cluster) Start() {
 	c.probeAll()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		t := time.NewTicker(c.cfg.HealthInterval)
+		t := time.NewTicker(healthInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -226,7 +169,7 @@ func (c *Cluster) probeAll() {
 		wg.Add(1)
 		go func(rep *Replica) {
 			defer wg.Done()
-			rep.probe(context.Background(), c.client, c.cfg.HealthTimeout)
+			rep.probe(context.Background())
 		}(rep)
 	}
 	wg.Wait()
@@ -388,18 +331,18 @@ func (c *Cluster) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fetchCorpus asks one replica for its corpus status, bounded by the
-// health-check timeout (stats are a lock-and-copy, never pipeline work).
+// fetchCorpus asks one replica for its corpus status, bounded by
+// corpusTimeout.
 func (c *Cluster) fetchCorpus(ctx context.Context, rep *Replica) corpusReplica {
 	row := corpusReplica{Name: rep.Name}
-	ctx, cancel := context.WithTimeout(ctx, max(c.cfg.HealthTimeout, time.Second))
+	ctx, cancel := context.WithTimeout(ctx, corpusTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.URL+"/v1/corpus", nil)
 	if err != nil {
 		row.Error = err.Error()
 		return row
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		row.Error = err.Error()
 		return row
@@ -430,9 +373,9 @@ func (c *Cluster) fetchCorpus(ctx context.Context, rep *Replica) corpusReplica {
 // (floored) when admission degraded the request. This is the SLO →
 // anytime mapping: overload makes deadlines smaller, so replicas return
 // best-so-far Truncated results instead of the cluster returning errors.
-func (c *Cluster) effectiveDeadline(d time.Duration, class SLO, degraded bool) time.Duration {
+func effectiveDeadline(d time.Duration, class SLO, degraded bool) time.Duration {
 	if d <= 0 {
-		d = c.cfg.Deadlines.For(class)
+		d = classDeadlines[class]
 	}
 	if degraded {
 		d = time.Duration(float64(d) * degradeFactor)
@@ -475,7 +418,7 @@ func (c *Cluster) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Isccluster-Degraded", "1")
 	}
 
-	deadline := c.effectiveDeadline(time.Duration(preq.Req.DeadlineMS)*time.Millisecond, class, dec.Degraded)
+	deadline := effectiveDeadline(time.Duration(preq.Req.DeadlineMS)*time.Millisecond, class, dec.Degraded)
 	fwd := preq.Req
 	fwd.DeadlineMS = int(deadline / time.Millisecond)
 	fwdBody, err := json.Marshal(fwd)
@@ -487,7 +430,7 @@ func (c *Cluster) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	// The overall routing budget: the pipeline deadline plus slack per
 	// possible attempt, so a request can fail over even after burning most
 	// of its deadline on a dead replica.
-	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.cfg.MaxAttempts)*attemptSlack)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.maxAttempts)*attemptSlack)
 	defer cancel()
 
 	res := c.do(ctx, preq.Key, http.MethodPost, "/v1/customize", fwdBody, deadline)
@@ -580,11 +523,11 @@ func (c *Cluster) nextReplica(seq []*Replica, cursor *int) *Replica {
 }
 
 // backoff returns the jittered exponential delay before retry n (n >= 1):
-// full jitter over base·2^(n-1), capped at BackoffMax.
+// full jitter over backoffBase·2^(n-1), capped at backoffMax.
 func (c *Cluster) backoff(n int) time.Duration {
-	d := c.cfg.BackoffBase << (n - 1)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
+	d := backoffBase << (n - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	c.jitterMu.Lock()
 	j := c.jitter.Int63n(int64(d) + 1)
@@ -604,7 +547,7 @@ func (c *Cluster) do(ctx context.Context, key string, method, path string, body 
 	var prev *Replica
 	var last upstream
 	last.err = fmt.Errorf("no routable replica")
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		rep := c.nextReplica(seq, &cursor)
 		if rep == nil {
 			if cursor == 0 && attempt == 0 {
@@ -677,7 +620,7 @@ func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string
 		req.Header.Set("Content-Type", "application/json")
 	}
 	c.tel.Add("cluster.attempts", 1)
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return upstream{replica: rep, err: err}
 	}

@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/server"
@@ -26,15 +26,12 @@ type testFleet struct {
 }
 
 // startFleet boots n real replicas (named r1..rn) and a router over them.
-// The caller's cfg is completed with the replica list and fast test
-// timings; the fleet tears itself down with the test.
-func startFleet(t *testing.T, n int, cfg Config) *testFleet {
+// A non-nil adm replaces the router's admission controller before it
+// serves; the fleet tears itself down with the test.
+func startFleet(t *testing.T, n int, adm *Admission) *testFleet {
 	t.Helper()
-	f := &testFleet{tel: cfg.Telemetry}
-	if f.tel == nil {
-		f.tel = telemetry.New("isccluster")
-		cfg.Telemetry = f.tel
-	}
+	f := &testFleet{tel: telemetry.New("isccluster")}
+	cfg := Config{Telemetry: f.tel}
 	for i := 0; i < n; i++ {
 		srv := server.New(server.Config{
 			Name:          fmt.Sprintf("r%d", i+1),
@@ -46,18 +43,12 @@ func startFleet(t *testing.T, n int, cfg Config) *testFleet {
 		f.backends = append(f.backends, ts)
 		cfg.Replicas = append(cfg.Replicas, ReplicaConfig{Name: fmt.Sprintf("r%d", i+1), URL: ts.URL})
 	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 50 * time.Millisecond
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 5 * time.Millisecond
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if adm != nil {
+		c.admission = adm
 	}
 	f.cluster = c
 	c.Start()
@@ -65,6 +56,20 @@ func startFleet(t *testing.T, n int, cfg Config) *testFleet {
 	f.front = httptest.NewServer(c.Handler())
 	t.Cleanup(f.front.Close)
 	return f
+}
+
+// tightAdmission is an admission controller whose buckets hold the given
+// bursts and practically never refill.
+func tightAdmission(gold, silver, bronze, degraded float64) *Admission {
+	const rate = 0.001
+	return &Admission{
+		class: map[SLO]*Bucket{
+			Gold:   NewBucket(rate, gold),
+			Silver: NewBucket(rate, silver),
+			Bronze: NewBucket(rate, bronze),
+		},
+		degraded: NewBucket(rate, degraded),
+	}
 }
 
 func postCluster(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -89,7 +94,7 @@ func counter(tel *telemetry.Registry, name string) int64 {
 // a fingerprint to one replica, serve the repeat from that replica's
 // cache byte-identically.
 func TestClusterServesAndShardsCache(t *testing.T) {
-	f := startFleet(t, 3, Config{})
+	f := startFleet(t, 3, nil)
 	req := `{"benchmark":"crc","budget":5,"slo":"gold","deadline_ms":60000}`
 
 	resp1, body1 := postCluster(t, f.front.URL, req)
@@ -123,7 +128,7 @@ func TestClusterServesAndShardsCache(t *testing.T) {
 // succeeds elsewhere, the failover counter moves, and enough strikes open
 // the sick replica's breaker.
 func TestFailoverPastFlakyReplica(t *testing.T) {
-	f := startFleet(t, 3, Config{})
+	f := startFleet(t, 3, nil)
 	req := `{"benchmark":"sha","budget":5,"slo":"gold","deadline_ms":60000}`
 
 	// Find the replica affinity would pick and make exactly it sick.
@@ -159,15 +164,15 @@ func TestFailoverPastFlakyReplica(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		postCluster(t, f.front.URL, req)
 	}
-	if primary.Breaker().State() != "open" {
-		t.Errorf("sick primary breaker = %q, want open", primary.Breaker().State())
+	if primary.breaker.State() != "open" {
+		t.Errorf("sick primary breaker = %q, want open", primary.breaker.State())
 	}
 }
 
 // Draining replicas are alive, not dead: the router re-routes their
 // Retry-After 503s to another replica without a breaker strike.
 func TestDrainReroutesWithoutTrippingBreaker(t *testing.T) {
-	f := startFleet(t, 2, Config{})
+	f := startFleet(t, 2, nil)
 	req := `{"benchmark":"djpeg","budget":5,"slo":"silver","deadline_ms":60000}`
 	preq, _, err := ParseRequest([]byte(req), 0)
 	if err != nil {
@@ -175,19 +180,15 @@ func TestDrainReroutesWithoutTrippingBreaker(t *testing.T) {
 	}
 	primary := f.cluster.ring.Sequence(preq.Key)[0]
 	var draining *server.Server
-	for i, rep := range f.cluster.Replicas() {
+	for i, rep := range f.cluster.replicas {
 		if rep == primary {
 			draining = f.servers[i]
 		}
 	}
 	draining.Shutdown(context.Background()) // flips the drain flag; no inflight work
-	// Wait for the health loop to observe the drain.
-	deadline := time.Now().Add(2 * time.Second)
-	for !primary.Draining() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	f.cluster.probeAll()                    // the health loop's next tick
 	if !primary.Draining() {
-		t.Fatal("health loop never observed the drain")
+		t.Fatal("health probe never observed the drain")
 	}
 
 	resp, body := postCluster(t, f.front.URL, req)
@@ -197,24 +198,20 @@ func TestDrainReroutesWithoutTrippingBreaker(t *testing.T) {
 	if got := resp.Header.Get("X-Isccluster-Replica"); got == primary.Name {
 		t.Errorf("pipeline request routed to the draining replica %q", got)
 	}
-	if primary.Breaker().State() != "closed" {
-		t.Errorf("drain tripped the breaker: %q", primary.Breaker().State())
+	if primary.breaker.State() != "closed" {
+		t.Errorf("drain tripped the breaker: %q", primary.breaker.State())
 	}
 }
 
-// A dead replica (connection refused) must be marked down by the health
-// loop and skipped by routing.
+// A dead replica (connection refused) must be marked down by a health
+// probe and skipped by routing.
 func TestHealthLoopDownsDeadReplica(t *testing.T) {
-	f := startFleet(t, 3, Config{})
-	dead := f.cluster.Replicas()[1]
+	f := startFleet(t, 3, nil)
+	dead := f.cluster.replicas[1]
 	f.backends[1].Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for dead.State() != Down && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	f.cluster.probeAll() // the health loop's next tick
 	if dead.State() != Down {
-		t.Fatal("health loop never downed the dead replica")
+		t.Fatal("health probe never downed the dead replica")
 	}
 
 	// Every request still succeeds, served by the survivors.
@@ -254,14 +251,7 @@ func TestHealthLoopDownsDeadReplica(t *testing.T) {
 // bronze's refused capacity, is still served — possibly degraded, never
 // 503.
 func TestAdmissionShedsBronzeBeforeGold(t *testing.T) {
-	f := startFleet(t, 2, Config{
-		Admission: AdmissionConfig{
-			Gold:     ClassLimits{Rate: 0.001, Burst: 2},
-			Silver:   ClassLimits{Rate: 0.001, Burst: 1},
-			Bronze:   ClassLimits{Rate: 0.001, Burst: 1},
-			Degraded: ClassLimits{Rate: 0.001, Burst: 1},
-		},
-	})
+	f := startFleet(t, 2, tightAdmission(2, 1, 1, 1))
 	req := func(slo string) string {
 		return fmt.Sprintf(`{"benchmark":"crc","budget":5,"slo":%q,"deadline_ms":60000}`, slo)
 	}
@@ -301,12 +291,7 @@ func TestAdmissionShedsBronzeBeforeGold(t *testing.T) {
 // Degraded admission must shrink the forwarded deadline, not reject: the
 // response arrives (possibly Truncated) with the degraded marker.
 func TestDegradedAdmissionShrinksDeadline(t *testing.T) {
-	f := startFleet(t, 1, Config{
-		Admission: AdmissionConfig{
-			Silver:   ClassLimits{Rate: 0.001, Burst: 1},
-			Degraded: ClassLimits{Rate: 0.001, Burst: 5},
-		},
-	})
+	f := startFleet(t, 1, tightAdmission(classBurst, 1, classBurst, 5))
 	req := `{"benchmark":"crc","budget":5,"slo":"silver","deadline_ms":60000}`
 	postCluster(t, f.front.URL, req) // burns silver's burst
 
@@ -319,10 +304,72 @@ func TestDegradedAdmissionShrinksDeadline(t *testing.T) {
 	}
 }
 
+// The router forwards each class's fixed default deadline when a request
+// sets none, a quarter of the deadline (floored at 50ms) when admission
+// degrades it, and an explicit deadline_ms unchanged. The benchmark's hit
+// path warms replicas with the gold default, so it is pinned here.
+func TestForwardedDeadlines(t *testing.T) {
+	var mu sync.Mutex
+	var forwarded int
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req server.Request
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("replica got an undecodable body: %v", err)
+		}
+		mu.Lock()
+		forwarded = req.DeadlineMS
+		mu.Unlock()
+		w.Write([]byte("{}\n"))
+	}))
+	t.Cleanup(fake.Close)
+	c, err := New(Config{Replicas: []ReplicaConfig{{Name: "fake", URL: fake.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Empty class buckets admit every request from the degraded pool.
+	full, degraded := c.admission, tightAdmission(0, 0, 0, 1000)
+	for _, tc := range []struct {
+		body     string
+		degraded bool
+		want     int
+	}{
+		{`{"benchmark":"crc","slo":"gold"}`, false, 30000},
+		{`{"benchmark":"crc","slo":"silver"}`, false, 10000},
+		{`{"benchmark":"crc","slo":"bronze"}`, false, 3000},
+		{`{"benchmark":"crc"}`, false, 10000},
+		{`{"benchmark":"crc","slo":"gold","deadline_ms":1234}`, false, 1234},
+		{`{"benchmark":"crc","slo":"bronze","deadline_ms":60000}`, false, 60000},
+		{`{"benchmark":"crc","slo":"gold"}`, true, 7500},
+		{`{"benchmark":"crc","slo":"silver"}`, true, 2500},
+		{`{"benchmark":"crc","slo":"bronze"}`, true, 750},
+		{`{"benchmark":"crc","slo":"gold","deadline_ms":1000}`, true, 250},
+		{`{"benchmark":"crc","slo":"silver","deadline_ms":100}`, true, 50},
+	} {
+		c.admission = full
+		if tc.degraded {
+			c.admission = degraded
+		}
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/customize", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.body, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Isccluster-Degraded") == "1"; got != tc.degraded {
+			t.Fatalf("%s: degraded = %v, want %v", tc.body, got, tc.degraded)
+		}
+		mu.Lock()
+		got := forwarded
+		mu.Unlock()
+		if got != tc.want {
+			t.Errorf("%s (degraded %v): forwarded deadline_ms %d, want %d", tc.body, tc.degraded, got, tc.want)
+		}
+	}
+}
+
 // The metrics page must carry the canonical resilience counters and the
 // replica-state gauges in iscd-compatible Prometheus text.
 func TestClusterMetricsPage(t *testing.T) {
-	f := startFleet(t, 2, Config{})
+	f := startFleet(t, 2, nil)
 	postCluster(t, f.front.URL, `{"benchmark":"crc","budget":5,"deadline_ms":60000}`)
 	resp, err := http.Get(f.front.URL + "/metrics")
 	if err != nil {
@@ -350,7 +397,7 @@ func TestClusterMetricsPage(t *testing.T) {
 // Benchmarks proxying: the cluster answers /v1/benchmarks like any
 // replica would.
 func TestClusterBenchmarksProxy(t *testing.T) {
-	f := startFleet(t, 2, Config{})
+	f := startFleet(t, 2, nil)
 	resp, err := http.Get(f.front.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +411,7 @@ func TestClusterBenchmarksProxy(t *testing.T) {
 
 // Bad requests die at the router without consuming replica capacity.
 func TestClusterRejectsBadRequests(t *testing.T) {
-	f := startFleet(t, 1, Config{})
+	f := startFleet(t, 1, nil)
 	for body, want := range map[string]int{
 		`{"benchmark":"crc","slo":"platinum"}`: http.StatusBadRequest,
 		`{"benchmark":"nope"}`:                 http.StatusNotFound,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // State is a replica's health as the router sees it.
@@ -59,7 +58,7 @@ type Replica struct {
 	lastErr  string
 }
 
-func newReplica(cfg ReplicaConfig, breakerThreshold int, breakerCooloff time.Duration) *Replica {
+func newReplica(cfg ReplicaConfig) *Replica {
 	return &Replica{
 		Name:    cfg.Name,
 		URL:     cfg.URL,
@@ -82,17 +81,6 @@ func (r *Replica) Draining() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.draining
-}
-
-// Breaker exposes the replica's circuit breaker (health reporting and
-// tests).
-func (r *Replica) Breaker() *Breaker { return r.breaker }
-
-// available reports whether the router may send an attempt: not down, and
-// the breaker admits it. Calling this may consume the breaker's half-open
-// probe slot, so call it once per routing decision.
-func (r *Replica) available() bool {
-	return r.State() != Down && r.breaker.Allow()
 }
 
 // noteSuccess records a served request: the breaker closes and the replica
@@ -144,16 +132,17 @@ type healthzBody struct {
 	Status string `json:"status"`
 }
 
-// probe runs one active health check: GET /healthz with its own timeout.
-func (r *Replica) probe(ctx context.Context, client *http.Client, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+// probe runs one active health check: GET /healthz bounded by
+// healthTimeout.
+func (r *Replica) probe(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.URL+"/healthz", nil)
 	if err != nil {
 		r.noteProbe(false, false, err.Error())
 		return
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		r.noteProbe(false, false, err.Error())
 		return

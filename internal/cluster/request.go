@@ -83,7 +83,7 @@ type ParsedRequest struct {
 // ParseRequest parses, validates, and normalizes one cluster request body.
 // defaultDeadline is the deadline the inner request normalizes against
 // when it carries none (the per-class deadline mapping happens later, in
-// Cluster.effectiveDeadline — normalization here only makes the spelled
+// effectiveDeadline — normalization here only makes the spelled
 // fields explicit). On failure the returned status is the HTTP code to
 // serve (400/404); the function never panics on any input.
 func ParseRequest(body []byte, defaultDeadline time.Duration) (*ParsedRequest, int, error) {

@@ -11,7 +11,7 @@ func testReplicas(n int) []*Replica {
 		out = append(out, newReplica(ReplicaConfig{
 			Name: fmt.Sprintf("r%d", i+1),
 			URL:  fmt.Sprintf("http://replica-%d", i+1),
-		}, 3, 0))
+		}))
 	}
 	return out
 }

@@ -33,12 +33,8 @@ func TestRobustnessFaultedFleetStaysByteIdentical(t *testing.T) {
 	ref := httptest.NewServer(refSrv.Handler())
 	t.Cleanup(ref.Close)
 
-	tel := telemetry.New("isccluster")
-	f := startFleet(t, 3, Config{
-		Telemetry:      tel,
-		MaxAttempts:    6,
-		BreakerCooloff: 100 * time.Millisecond,
-	})
+	f := startFleet(t, 3, nil)
+	tel := f.tel
 
 	// r2's customize handler always 500s (its /healthz stays fine, so only
 	// the passive path can save traffic); r3 answers slowly. Both faults

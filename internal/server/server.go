@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,11 +48,6 @@ type Config struct {
 	// does not set deadline_ms (0 = unbounded). Expiry yields a truncated
 	// best-so-far response, not an error.
 	DefaultDeadline time.Duration
-	// DrainRetryAfter is the Retry-After hint (rounded up to whole seconds)
-	// on the 503s a draining server sheds (0 = 1s). The header is how a
-	// cluster router distinguishes graceful drain from death: drained
-	// requests re-route without tripping the replica's circuit breaker.
-	DrainRetryAfter time.Duration
 	// Telemetry receives the server's counters, gauges and spans (nil = a
 	// fresh registry, which /metrics renders either way).
 	Telemetry *telemetry.Registry
@@ -106,9 +100,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries < 1 {
 		cfg.CacheEntries = 256
 	}
-	if cfg.DrainRetryAfter <= 0 {
-		cfg.DrainRetryAfter = time.Second
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New("iscd")
@@ -136,11 +127,13 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler serving the iscd API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Shutdown drains the server: new pipeline runs are refused with 503
-// (cache hits are still served — they cost nothing), and Shutdown returns
-// once every in-flight run has delivered its response, or with ctx's error
-// if the context expires first. Call http.Server.Shutdown alongside to
-// stop accepting connections.
+// Shutdown drains the server: new pipeline runs are refused with 503 and
+// Retry-After: 1 (cache hits are still served — they cost nothing); the
+// header is how a cluster router tells graceful drain from death, so
+// drained requests re-route without tripping the replica's circuit
+// breaker. Shutdown returns once every in-flight run has delivered its
+// response, or with ctx's error if the context expires first. Call
+// http.Server.Shutdown alongside to stop accepting connections.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The drain flag flips under the inflight mutex: a leader either
 	// completes its wg.Add before this lock (and is waited for) or sees
@@ -284,13 +277,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.WritePrometheus(&sb, "iscd")
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, sb.String())
-}
-
-// retryAfterSeconds rounds a drain hint up to the whole seconds the
-// Retry-After header speaks, never below 1.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	return max(secs, 1)
 }
 
 // Resolve turns a request's benchmark name or iscasm text into a validated
@@ -462,7 +448,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		// Retry-After marks this 503 as graceful drain, not death: a
 		// cluster router re-routes to another replica without tripping the
 		// circuit breaker, and counts the refusal as load shed.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.DrainRetryAfter)))
+		w.Header().Set("Retry-After", "1")
 		s.tel.Add(telemetry.CounterShed, 1)
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
