@@ -38,7 +38,7 @@ func main() {
 	h := experiment.NewHarness()
 	h.BindFlags(flag.CommandLine)
 	budget := flag.Float64("budget", 15, "cost point for the extension study")
-	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
+	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs, and goroutines per exploration (0 = one per CPU, 1 = serial); the report is identical at every setting")
 	var cli core.CLI
 	cli.BindFlags(flag.CommandLine, core.CorpusFlags)
 	flag.Parse()

@@ -37,7 +37,7 @@ func main() {
 	synthSpec := flag.String("synth", "", "sweep one seeded synthetic program instead of the benchmark suite; colon-separated key=value spec (e.g. seed=3:blocks=8:ops=512), \"default\" for the defaults")
 	flag.TextVar(&h.SelectMode, "mode", cfu.GreedyRatio, "selection `heuristic`: greedy, value, or dp")
 	flag.BoolVar(&h.Verify, "verify", false, "verify every compile in the functional simulator")
-	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs (0 = one per CPU, 1 = serial); the report is identical at every setting")
+	flag.IntVar(&h.Parallelism, "j", 0, "parallel compile jobs, and goroutines per exploration (0 = one per CPU, 1 = serial); the report is identical at every setting")
 	var cli core.CLI
 	cli.BindFlags(flag.CommandLine, core.CorpusFlags|core.HWLibFlag)
 	flag.Parse()

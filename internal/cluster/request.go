@@ -33,10 +33,6 @@ func (s SLO) String() string {
 	return "bronze"
 }
 
-// SLOs lists every class from most to least protected (gold first): the
-// display and reporting order.
-func SLOs() []SLO { return []SLO{Gold, Silver, Bronze} }
-
 // ParseSLO maps the wire spelling onto a class. The empty string is
 // silver — the middle of the road is the only safe default, leaving both
 // an upgrade and a downgrade available.

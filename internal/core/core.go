@@ -86,15 +86,13 @@ type Config struct {
 	// MaxCandidates caps the candidates exploration records (0 =
 	// unlimited); hitting the cap tags the result Truncated.
 	MaxCandidates int `json:"max_candidates,omitempty"`
-	// Workers bounds the goroutines exploring one program's blocks
-	// concurrently (0 or 1 = serial). Results are merged in block order,
-	// so output is identical at every setting; exploration falls back to
-	// serial while an anytime budget is active.
+	// Workers bounds the goroutines one exploration runs, the caller's
+	// included (0 or 1 = serial); each explores whole blocks. Results are
+	// merged in block order, so the output is identical at every setting;
+	// exploration falls back to serial while an anytime budget is active.
+	// Each call has its own bound, so concurrent calls each use up to
+	// Workers goroutines.
 	Workers int `json:"-"`
-	// Spare, when non-nil, gates the extra block-exploration workers: each
-	// one must hold a token, so concurrent Customize calls sharing one pool
-	// split a single goroutine budget instead of multiplying Workers.
-	Spare *explore.Tokens `json:"-"`
 }
 
 // Normalize returns the configuration with each zero-valued default made
@@ -241,7 +239,6 @@ func Explore(p *ir.Program, cfg Config) (cands []*cfu.CFU, stats explore.Stats, 
 	ecfg.MaxCandidates = cfg.MaxCandidates
 	ecfg.Corpus = cfg.Corpus
 	ecfg.Workers = cfg.Workers
-	ecfg.Spare = cfg.Spare
 	res := explore.Explore(p, ecfg)
 	cands, ctrunc := cfu.CombinePartial(res, cfg.Lib, cfu.CombineOptions{Telemetry: cfg.Telemetry, Ctx: cfg.Ctx})
 	if cfg.MultiFunction {

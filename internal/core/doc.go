@@ -16,5 +16,6 @@
 //     paper's split toolflow.
 //   - Config: budget, port constraints, selection mode, matcher features,
 //     anytime controls (Ctx, ExploreDeadline, MaxCandidates → Truncated
-//     best-so-far results), Workers/Spare concurrency, and Telemetry.
+//     best-so-far results), the Workers bound on one exploration's
+//     block goroutines, and Telemetry.
 package core

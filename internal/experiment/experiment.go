@@ -47,13 +47,15 @@ func Budgets1to15() []float64 {
 // pipeline stages; set it before the first run, since the memo caches key
 // on benchmark name and budget (and the compile memo on four compiler
 // knobs), not on the whole configuration. Each call names its own budget,
-// and Parallelism replaces Config.Workers and Config.Spare.
+// and Parallelism replaces Config.Workers.
 // Config.Telemetry also receives the memo-cache hit/miss counters and the
 // worker-pool utilization.
 type Harness struct {
 	core.Config
-	// Parallelism bounds the number of concurrent compile jobs in the
-	// sweep and study harnesses (0 = runtime.GOMAXPROCS(0), 1 = serial).
+	// Parallelism bounds each level of parallelism on its own: at most
+	// Parallelism concurrent jobs in the sweep and study harnesses, and at
+	// most Parallelism goroutines in each exploration
+	// (0 = runtime.GOMAXPROCS(0), 1 = serial).
 	Parallelism int
 
 	mu       sync.Mutex
@@ -67,12 +69,6 @@ type Harness struct {
 	// cell another goroutine was computing or on a selection lock.
 	jobNanos  atomic.Int64
 	waitNanos atomic.Int64
-	// tokens is the shared worker-token pool (lazily sized to workers()):
-	// sweep pool workers each hold one token while running, and exploration
-	// spawns extra per-block workers only against the leftover tokens, so
-	// the two levels of parallelism together never exceed the -j budget.
-	tokensOnce sync.Once
-	tokens     *explore.Tokens
 }
 
 // mdesKey identifies one selection: an application's candidates spent at
@@ -245,12 +241,10 @@ func (h *Harness) compileOn(app, cfuSource string, budget float64, cfg core.Conf
 }
 
 // config returns the harness's normalized pipeline configuration, with
-// exploration drawing its extra block workers from the shared -j token
-// pool (see exploreParallel).
+// each exploration bounded to workers() goroutines.
 func (h *Harness) config() core.Config {
 	cfg := h.Config.Normalize()
 	cfg.Workers = h.workers()
-	cfg.Spare = h.exploreTokens()
 	return cfg
 }
 
@@ -512,10 +506,10 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 		relaxed.OvershootIO = 8
 		relaxed.Fanout = 2
 		relaxed.MaxExamined = 60000
-		h.exploreParallel(&relaxed)
+		relaxed.Workers = h.workers()
 		res := explore.Explore(b.Program, relaxed)
 		bcfg := explore.DefaultConfig(h.Lib)
-		h.exploreParallel(&bcfg)
+		bcfg.Workers = h.workers()
 		base := explore.Explore(b.Program, bcfg)
 		res.Candidates = append(res.Candidates, base.Candidates...)
 
@@ -566,12 +560,12 @@ func (h *Harness) Fig3(app string, budget int) (*ExplorationStats, error) {
 	}
 	gcfg := explore.DefaultConfig(h.Lib)
 	gcfg.MaxExamined = budget
-	h.exploreParallel(&gcfg)
+	gcfg.Workers = h.workers()
 	guided := explore.Explore(b.Program, gcfg)
 	ncfg := explore.DefaultConfig(h.Lib)
 	ncfg.Naive = true
 	ncfg.MaxExamined = budget
-	h.exploreParallel(&ncfg)
+	ncfg.Workers = h.workers()
 	naive := explore.Explore(b.Program, ncfg)
 
 	st := &ExplorationStats{
@@ -740,7 +734,7 @@ func (h *Harness) MemoryCFUStudy(apps []string, budget float64) ([]*MemoryCFURes
 			return nil, err
 		}
 		ecfg := explore.DefaultConfig(mem.Lib)
-		h.exploreParallel(&ecfg)
+		ecfg.Workers = h.workers()
 		res := explore.Explore(b.Program, ecfg)
 		cands := cfu.Combine(res, mem.Lib, cfu.CombineOptions{})
 		m := core.Select(app, cfu.NewSelector(cands), false, mem)
@@ -864,7 +858,7 @@ func (h *Harness) GuideWeightAblation(app string) ([]*GuideAblation, error) {
 	for _, c := range cases {
 		ecfg := explore.DefaultConfig(h.Lib)
 		ecfg.Weights = c.Weights
-		h.exploreParallel(&ecfg)
+		ecfg.Workers = h.workers()
 		res := explore.Explore(b.Program, ecfg)
 		c.Examined = res.Stats.Examined
 		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})

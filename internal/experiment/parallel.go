@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/explore"
 )
 
 // PanicError is a panic caught at a pipeline fault boundary (a parallelFor
@@ -43,31 +41,16 @@ func recoverToError(job int, context string, errp *error) {
 }
 
 // workers resolves the harness's degree of parallelism: Parallelism when
-// positive, else one worker per available CPU.
+// positive, else one worker per available CPU. It bounds the pool's jobs
+// and, separately, each exploration's goroutines (explore.Config.Workers):
+// a job blocked on another job's memo cell thus leaves its core to the
+// exploration it waits for. Explore ignores Workers under an anytime
+// budget, whose truncation point must not depend on scheduling.
 func (h *Harness) workers() int {
 	if h.Parallelism > 0 {
 		return h.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// exploreTokens returns the shared worker-token pool, sized to the -j
-// budget on first use (so Parallelism must be set before the first run,
-// like the other configuration fields).
-func (h *Harness) exploreTokens() *explore.Tokens {
-	h.tokensOnce.Do(func() { h.tokens = explore.NewTokens(h.workers()) })
-	return h.tokens
-}
-
-// exploreParallel stamps the intra-benchmark parallelism budget onto an
-// exploration config: up to workers() block workers, the extras drawing
-// from the shared token pool so benchmark-level and block-level
-// parallelism never oversubscribe -j. Explore ignores the setting when an
-// anytime budget is active (parallel block order would perturb which
-// subgraphs a global budget admits).
-func (h *Harness) exploreParallel(cfg *explore.Config) {
-	cfg.Workers = h.workers()
-	cfg.Spare = h.exploreTokens()
 }
 
 // parallelFor runs fn(i) for every i in [0, n), fanning the indices out
@@ -134,20 +117,11 @@ func (h *Harness) parallelForAll(n int, jobName func(i int) string, fn func(i in
 		}
 	} else {
 		next := int64(-1)
-		tok := h.exploreTokens()
 		var wg sync.WaitGroup
 		for k := 0; k < w; k++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Each pool worker holds one token from the shared -j
-				// budget while it runs, so intra-benchmark explore workers
-				// can only use the budget this fan-out leaves idle. The
-				// acquire is non-blocking and the worker runs regardless
-				// (progress over strictness if harnesses run concurrently).
-				if tok.TryAcquire() {
-					defer tok.Release()
-				}
 				for {
 					i := int(atomic.AddInt64(&next, 1))
 					if i >= n {

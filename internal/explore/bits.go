@@ -23,17 +23,6 @@ func (b bitset) orInto(o bitset) {
 	}
 }
 
-// key returns a comparable map key for the set.
-func (b bitset) key() string {
-	buf := make([]byte, 8*len(b))
-	for i, w := range b {
-		for k := 0; k < 8; k++ {
-			buf[8*i+k] = byte(w >> (8 * k))
-		}
-	}
-	return string(buf)
-}
-
 func (b bitset) count() int {
 	n := 0
 	for _, w := range b {

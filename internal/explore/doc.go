@@ -22,11 +22,9 @@
 //     its block, shared read-only with the corpus.
 //   - Config / DefaultConfig: guide weights, Constraints (input/output port
 //     limits, §3.1), anytime controls (Ctx, Deadline, MaxCandidates — all
-//     yield best-so-far results tagged Truncated), Workers and Spare for
-//     block-level parallelism.
+//     yield best-so-far results tagged Truncated), and Workers, the bound
+//     on the goroutines one Explore call runs, each exploring whole
+//     blocks; per-block results merge in block order, so the output is
+//     byte-identical at every setting.
 //   - Constraints / DefaultConstraints: the 5-input/3-output port limits.
-//   - Tokens (NewTokens / Acquire / TryAcquire / Release): the counting
-//     semaphore behind the two-level -j model — sweep-level jobs and
-//     block-level workers, plus concurrent service requests, all draw from
-//     one shared pool (docs/ARCHITECTURE.md).
 package explore

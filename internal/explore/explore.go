@@ -84,18 +84,13 @@ type Config struct {
 	// Telemetry, when non-nil, receives the exploration span and the
 	// examined/pruned/recorded counters.
 	Telemetry *telemetry.Registry
-	// Workers bounds the number of goroutines exploring one program's
-	// blocks concurrently (0 or 1 = serial). Per-block results are merged
-	// in block order, so the output is byte-identical at every setting.
-	// Anytime budgets (Ctx/Deadline/MaxCandidates) force a serial run:
-	// cross-block truncation points stay deterministic that way.
+	// Workers bounds the goroutines one Explore call runs, the caller's
+	// included (0 or 1 = serial); each explores whole blocks. Per-block
+	// results are merged in block order, so the output is byte-identical
+	// at every setting. Anytime budgets (Ctx/Deadline/MaxCandidates) force
+	// a serial run: cross-block truncation points stay deterministic that
+	// way.
 	Workers int
-	// Spare, when non-nil, gates the extra block workers: each one must
-	// win a token from this pool for its lifetime. The experiment harness
-	// hands its own worker pool here so the two parallelism levels share
-	// one -j budget instead of oversubscribing. nil means Workers is the
-	// only bound.
-	Spare *Tokens
 
 	// Ctx, when non-nil, lets the caller cancel exploration; the run stops
 	// at the next budget check and returns its best-so-far candidates with
@@ -306,14 +301,12 @@ func Explore(p *ir.Program, cfg Config) *Result {
 	return res
 }
 
-// exploreBlocksParallel fans the blocks out over a small worker group: the
-// calling goroutine plus up to Workers-1 extras, each extra gated by a
-// token from cfg.Spare (when set) so the harness's -j budget is shared, not
-// multiplied. Every block gets a private Result; the merge concatenates
-// them in block order, making the output independent of scheduling. A
-// panicking block re-panics here (lowest block index first, matching the
-// serial run) after all workers have drained, for the caller's panic fence
-// to convert.
+// exploreBlocksParallel fans the blocks out over the calling goroutine and
+// up to Workers-1 more, at most one per further block. Every block gets a
+// private Result; the merge concatenates them in block order, making the
+// output independent of scheduling. A panicking block re-panics here
+// (lowest block index first, matching the serial run) after all workers
+// have drained, for the caller's panic fence to convert.
 func exploreBlocksParallel(strat Strategy, blocks []*ir.Block, cfg Config, res *Result, sig string, useCorpus bool) {
 	n := len(blocks)
 	results := make([]*Result, n)
@@ -339,23 +332,11 @@ func exploreBlocksParallel(strat Strategy, blocks []*ir.Block, cfg Config, res *
 			}()
 		}
 	}
-	extra := cfg.Workers - 1
-	if extra > n-1 {
-		extra = n - 1
-	}
 	var wg sync.WaitGroup
-	for k := 0; k < extra; k++ {
-		release := func() {}
-		if cfg.Spare != nil {
-			if !cfg.Spare.TryAcquire() {
-				break
-			}
-			release = cfg.Spare.Release
-		}
+	for k := min(cfg.Workers, n) - 1; k > 0; k-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer release()
 			work()
 		}()
 	}
@@ -402,9 +383,13 @@ type blockCtx struct {
 	succsAll  [][]int  // all dependence successors (for convexity)
 	reach     []bitset // forward reachability over all dependence edges
 	argVals   []bitset // value-space consumption per op (ops then regs)
-	escapes   []bool   // op has a live-out Dest
-	area      []float64
-	delay     []float64
+	// users and args list the bits of userMask and argVals per op: probe
+	// visits a few list entries where a bitset operation would sweep every
+	// word of the block.
+	users, args [][]int
+	escapes     []bool // op has a live-out Dest
+	area        []float64
+	delay       []float64
 
 	scratch []float64 // member depths of the item being priced (loadDepths)
 	suffix  []float64 // probe's depths for the grown op and the members after it
@@ -485,6 +470,8 @@ func newBlockCtx(b *ir.Block, lib *hwlib.Library) *blockCtx {
 			c.nbrMask[i].set(u)
 		}
 	}
+	c.users = maskLists(c.userMask)
+	c.args = maskLists(c.argVals)
 	// Reachability over all dependence edges, in reverse topological
 	// (block) order.
 	for i := n - 1; i >= 0; i-- {
@@ -496,6 +483,23 @@ func newBlockCtx(b *ir.Block, lib *hwlib.Library) *blockCtx {
 		c.reach[i] = r
 	}
 	return c
+}
+
+// maskLists returns the set bits of each mask as a list, every list
+// carved from one backing array.
+func maskLists(masks []bitset) [][]int {
+	total := 0
+	for _, m := range masks {
+		total += m.count()
+	}
+	buf := make([]int, 0, total)
+	out := make([][]int, len(masks))
+	for i, m := range masks {
+		lo := len(buf)
+		m.forEach(nil, func(b int) { buf = append(buf, b) })
+		out[i] = buf[lo:len(buf):len(buf)]
+	}
+	return out
 }
 
 // workItem is one candidate subgraph with incrementally maintained state.
@@ -530,10 +534,14 @@ func (c *blockCtx) alloc() *workItem {
 		return w
 	}
 	c.poolMisses++
+	// One backing array for the three bitsets: set and nbrUnion are n bits
+	// wide, argUnion nv.
+	nw := (c.n + 63) / 64
+	buf := make(bitset, 2*nw+(c.nv+63)/64)
 	return &workItem{
-		set:      newBitset(c.n),
-		argUnion: newBitset(c.nv),
-		nbrUnion: newBitset(c.n),
+		set:      buf[:nw:nw],
+		nbrUnion: buf[nw : 2*nw : 2*nw],
+		argUnion: buf[2*nw:],
 	}
 }
 
@@ -565,27 +573,24 @@ func (c *blockCtx) loadDepths(cur *workItem) {
 //     cur's and nb's. Otherwise the members after nb are recomputed in
 //     block order into c.suffix, leaving c.scratch intact for the next
 //     direction.
-//   - in: popcount of (argUnion | nb's args) &^ (set | nb). Register-value
-//     bits live above the op bits, so masking with the set only clears op
-//     values produced inside the candidate.
+//   - in: popcount of (argUnion | nb's args) &^ (set | nb), which is
+//     cur.in (argUnion &^ set), less nb's own value when a member
+//     consumes it, plus nb's args that are neither in argUnion nor
+//     produced inside the set. Register-value bits live above the op
+//     bits, so the set only covers op values produced inside the
+//     candidate.
 //   - out: starts from cur.out; only nb and its in-set data predecessors
 //     can change output-ness, because adding nb alters "has a consumer
 //     outside the set" for exactly the ops nb consumes.
 func (c *blockCtx) probe(cur *workItem, nb int) price {
-	p := price{area: cur.area + c.area[nb]}
-
-	nbWord, nbBit := nb>>6, uint64(1)<<(uint(nb)&63)
-	av := c.argVals[nb]
-	for i, u := range cur.argUnion {
-		u |= av[i]
-		if i < len(cur.set) {
-			s := cur.set[i]
-			if i == nbWord {
-				s |= nbBit
-			}
-			u &^= s
+	p := price{area: cur.area + c.area[nb], in: cur.in}
+	if cur.argUnion.has(nb) {
+		p.in--
+	}
+	for _, v := range c.args[nb] {
+		if !cur.argUnion.has(v) && (v >= c.n || !cur.set.has(v)) {
+			p.in++
 		}
-		p.in += bits.OnesCount64(u)
 	}
 
 	best := 0.0
@@ -596,7 +601,7 @@ func (c *blockCtx) probe(cur *workItem, nb int) price {
 	}
 	dnb := best + c.delay[nb]
 	c.suffix[nb] = dnb
-	if !c.userMask[nb].intersects(cur.set) {
+	if !c.feeds(nb, cur.set) {
 		p.latency = cur.latency
 		if dnb > p.latency {
 			p.latency = dnb
@@ -634,18 +639,35 @@ func (c *blockCtx) probe(cur *workItem, nb int) price {
 		if !cur.set.has(q) || c.escapes[q] {
 			continue
 		}
-		outside := c.userMask[q].andNotCount(cur.set)
-		if c.userMask[q].has(nb) {
-			outside--
-		}
-		if outside == 0 {
+		if !c.usedOutside(q, cur.set, nb) {
 			p.out--
 		}
 	}
-	if c.escapes[nb] || c.userMask[nb].andNotCount(cur.set) > 0 {
+	if c.escapes[nb] || c.usedOutside(nb, cur.set, -1) {
 		p.out++
 	}
 	return p
+}
+
+// feeds reports whether op nb has a data user in set.
+func (c *blockCtx) feeds(nb int, set bitset) bool {
+	for _, u := range c.users[nb] {
+		if set.has(u) {
+			return true
+		}
+	}
+	return false
+}
+
+// usedOutside reports whether op q has a data user outside set other than
+// op except.
+func (c *blockCtx) usedOutside(q int, set bitset, except int) bool {
+	for _, u := range c.users[q] {
+		if u != except && !set.has(u) {
+			return true
+		}
+	}
+	return false
 }
 
 // grow returns cur extended with op nb, priced by probe; c.scratch must
@@ -670,10 +692,16 @@ func (c *blockCtx) grow(cur *workItem, nb int) *workItem {
 			break
 		}
 	}
+	if m := len(cur.members) + 1; cap(w.members) < m || cap(w.depths) < m {
+		// Breadth-first order hands recycled items ever larger subgraphs:
+		// leave room for several more sizes rather than regrowing at each.
+		w.members = make([]int, 0, 2*m)
+		w.depths = make([]float64, 0, 2*m)
+	}
 	w.members = append(append(w.members[:0], cur.members[:ins]...), nb)
 	w.depths = append(append(w.depths[:0], cur.depths[:ins]...), c.suffix[nb])
 	w.members = append(w.members, cur.members[ins:]...)
-	if c.userMask[nb].intersects(cur.set) {
+	if c.feeds(nb, cur.set) {
 		for _, m := range cur.members[ins:] {
 			w.depths = append(w.depths, c.suffix[m])
 		}

@@ -2,18 +2,22 @@ package explore
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"testing"
 
 	"repro/internal/hwlib"
 	"repro/internal/ir"
+	"repro/internal/synth"
+	"repro/internal/workloads"
 )
 
 // compareResults asserts two exploration results are identical: same
 // candidates (set, block, costs, ports) in the same order, and the same
-// aggregate statistics. Used to prove block-parallel exploration merges to
-// the serial answer bit for bit.
+// statistics apart from the freelist and hash-probe counters, which depend
+// on how items were recycled. Used to prove parallel exploration gives the
+// serial answer bit for bit.
 func compareResults(t *testing.T, want, got *Result, label string) {
 	t.Helper()
 	if len(got.Candidates) != len(want.Candidates) {
@@ -27,44 +31,61 @@ func compareResults(t *testing.T, want, got *Result, label string) {
 			t.Fatalf("%s: candidate %d differs: %v vs %v", label, i, g, w)
 		}
 	}
-	if got.Stats.Examined != want.Stats.Examined || got.Stats.Recorded != want.Stats.Recorded ||
-		got.Stats.Truncated != want.Stats.Truncated {
-		t.Fatalf("%s: stats differ: %+v vs %+v", label, got.Stats, want.Stats)
+	ws, gs := want.Stats, got.Stats
+	if gs.Examined != ws.Examined || gs.PrunedDirections != ws.PrunedDirections ||
+		gs.Recorded != ws.Recorded || gs.Truncated != ws.Truncated || gs.TruncatedBy != ws.TruncatedBy ||
+		gs.CorpusHits != ws.CorpusHits || gs.CorpusMisses != ws.CorpusMisses {
+		t.Fatalf("%s: stats differ: %+v vs %+v", label, gs, ws)
 	}
-	if len(got.Stats.BySize) != len(want.Stats.BySize) {
-		t.Fatalf("%s: BySize sizes differ", label)
-	}
-	for k, v := range want.Stats.BySize {
-		if got.Stats.BySize[k] != v {
-			t.Fatalf("%s: BySize[%d] = %d, want %d", label, k, got.Stats.BySize[k], v)
-		}
+	if !maps.Equal(gs.BySize, ws.BySize) {
+		t.Fatalf("%s: BySize %v, want %v", label, gs.BySize, ws.BySize)
 	}
 }
 
-// TestParallelExploreDeterminism runs the same multi-block program serially
-// and with several worker counts (with and without a token pool, including
-// an empty pool that denies every extra worker) and requires bit-identical
-// candidates and stats.
+// TestParallelExploreDeterminism explores several programs serially and
+// with 2, 3 and 8 workers and requires bit-identical candidates and stats:
+// a small multi-block program, blowfish, the synthetic stress program cut
+// by MaxExamined, and the uarch, naive and MaxCandidates variants of the
+// search.
 func TestParallelExploreDeterminism(t *testing.T) {
-	p := ir.NewProgram("par")
-	p.Blocks = append(p.Blocks,
+	multi := ir.NewProgram("par")
+	multi.Blocks = append(multi.Blocks,
 		feistelBlock(100), denseBlock(24), feistelBlock(10), denseBlock(16))
-
-	run := func(workers int, spare *Tokens) *Result {
-		cfg := DefaultConfig(hwlib.Default())
-		cfg.Workers = workers
-		cfg.Spare = spare
-		return Explore(p, cfg)
+	blowfish, err := workloads.ByName("blowfish")
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := run(1, nil)
-	if len(want.Candidates) == 0 {
-		t.Fatal("serial run found no candidates")
+	stress, err := synth.Generate(synth.StressSpec())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 8} {
-		compareResults(t, want, run(w, nil), fmt.Sprintf("workers=%d", w))
+	cases := []struct {
+		name string
+		p    *ir.Program
+		set  func(*Config)
+	}{
+		{"multi-block", multi, func(*Config) {}},
+		{"blowfish", blowfish.Program, func(c *Config) { c.MaxExamined = 20000 }},
+		{"synth-stress cut by MaxExamined", stress, func(c *Config) { c.MaxExamined = 4999 }},
+		{"uarch", multi, func(c *Config) { c.CostModel = CostUarch }},
+		{"naive", multi, func(c *Config) { c.Naive, c.MaxExamined = true, 3001 }},
+		{"max-candidates", multi, func(c *Config) { c.MaxCandidates = 300 }},
 	}
-	compareResults(t, want, run(8, NewTokens(0)), "workers=8, empty token pool")
-	compareResults(t, want, run(8, NewTokens(8)), "workers=8, full token pool")
+	for _, tc := range cases {
+		run := func(workers int) *Result {
+			cfg := DefaultConfig(hwlib.Default())
+			tc.set(&cfg)
+			cfg.Workers = workers
+			return Explore(tc.p, cfg)
+		}
+		want := run(1)
+		if len(want.Candidates) == 0 {
+			t.Fatalf("%s: serial run found no candidates", tc.name)
+		}
+		for _, w := range []int{2, 3, 8} {
+			compareResults(t, want, run(w), fmt.Sprintf("%s, workers=%d", tc.name, w))
+		}
+	}
 }
 
 // TestGrowReleaseAllocFree bounds the steady-state allocation cost of the

@@ -35,7 +35,7 @@
 // entry, while a reordered program, which the pipeline may customize
 // differently, gets its own; singleflight coalescing so N concurrent
 // identical requests run the pipeline once and share one byte-identical
-// body; bounded admission against the shared explore.Tokens budget so the
+// body; bounded admission against MaxConcurrent pipeline tokens so the
 // service never oversubscribes cores no matter the request rate;
 // per-request deadlines lowered onto the pipeline's anytime budgets, so a
 // timed-out request returns its best-so-far result tagged truncated

@@ -16,7 +16,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
 	"repro/internal/mdes"
@@ -66,7 +65,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	tel      *telemetry.Registry
-	tokens   *explore.Tokens
+	tokens   chan struct{} // admission: one slot per running pipeline
 	cache    *resultCache
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -110,7 +109,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		tel:      tel,
-		tokens:   explore.NewTokens(cfg.MaxConcurrent),
+		tokens:   make(chan struct{}, cfg.MaxConcurrent),
 		cache:    newResultCache(cfg.CacheEntries),
 		mux:      http.NewServeMux(),
 		inflight: make(map[string]*call),
@@ -509,8 +508,10 @@ func (s *Server) run(kind string, req Request, p *ir.Program, key string, render
 	// deadline that expires while queued is not an error — the pipeline
 	// runs with the expired context and returns its (empty) best-so-far
 	// result tagged truncated, which costs nothing.
-	if s.tokens.Acquire(ctx) {
-		defer s.tokens.Release()
+	select {
+	case s.tokens <- struct{}{}:
+		defer func() { <-s.tokens }()
+	case <-ctx.Done():
 	}
 
 	cfg := req.Config
