@@ -33,7 +33,6 @@ func main() {
 	maxBudget := flag.Int("maxbudget", 15, "largest area budget in adders")
 	h := experiment.NewHarness()
 	h.BindFlags(flag.CommandLine)
-	shootout := flag.Bool("shootout", false, "run the strategy comparison instead of the Figure 7 sweep: every strategy on the 16 benchmarks plus the large unrolled and synthetic DFGs, with quality-vs-wallclock columns")
 	synthSpec := flag.String("synth", "", "sweep one seeded synthetic program instead of the benchmark suite; colon-separated key=value spec (e.g. seed=3:blocks=8:ops=512), \"default\" for the defaults")
 	flag.TextVar(&h.SelectMode, "mode", cfu.GreedyRatio, "selection `heuristic`: greedy, value, or dp")
 	flag.BoolVar(&h.Verify, "verify", false, "verify every compile in the functional simulator")
@@ -101,18 +100,6 @@ func main() {
 		sweeps := []*experiment.SweepResult{res}
 		experiment.RenderSweeps(os.Stdout, title, sweeps)
 		reportFailures(sweeps)
-
-	case *shootout:
-		inputs, err := experiment.ShootoutInputs()
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := h.StrategyShootout(inputs, float64(*maxBudget))
-		experiment.RenderShootout(os.Stdout, float64(*maxBudget), rows)
-		if err != nil {
-			failed = true
-			log.Printf("FAILED shootout: %v", err)
-		}
 
 	default:
 		for _, d := range domains {

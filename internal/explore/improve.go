@@ -398,7 +398,7 @@ func improveBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 	}()
 
 	visit := func(w *workItem) {
-		if !visited.insert(w.set, -1) {
+		if !visited.insert(w.set, -1, w.price) {
 			return
 		}
 		examined++

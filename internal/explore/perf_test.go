@@ -128,25 +128,27 @@ func TestGrowReleaseAllocFree(t *testing.T) {
 // subgraph to the visited set — the common case on dense blocks — is
 // allocation-free, whether it arrives built or as a set plus the one op
 // that would grow it. It also checks that the two spellings name the same
-// subgraph and that the extra bit never leaks into the caller's set.
+// subgraph, that the extra bit never leaks into the caller's set, and that
+// an entry gives back the latency and ports it was stored with.
 func TestVisitedDupInsertAllocFree(t *testing.T) {
 	vs := newVisitedSet(4)
 	b := make(bitset, 4)
 	b[0], b[2] = 0xDEADBEEF, 1
-	if !vs.insert(b, -1) {
+	if !vs.insert(b, -1, price{}) {
 		t.Fatal("first insert not reported new")
 	}
-	if vs.insert(b, -1) {
+	if vs.insert(b, -1, price{}) {
 		t.Fatal("duplicate insert reported new")
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		vs.insert(b, -1)
+		vs.insert(b, -1, price{})
 	}); got > 0 {
 		t.Fatalf("duplicate insert allocates %.1f objects/op; want 0", got)
 	}
 
 	const extra = 64 + 7
-	if !vs.insert(b, extra) {
+	stored := price{area: 9, latency: 2.75, in: 7, out: 3}
+	if !vs.insert(b, extra, stored) {
 		t.Fatal("set plus a new op not reported new")
 	}
 	if b.has(extra) {
@@ -154,14 +156,18 @@ func TestVisitedDupInsertAllocFree(t *testing.T) {
 	}
 	grown := b.clone()
 	grown.set(extra)
-	if vs.insert(grown, -1) {
+	if vs.insert(grown, -1, price{}) {
 		t.Fatal("built grown set not recognized as visited")
 	}
-	if vs.insert(b, 0) { // bit 0 is already in b: the same set as b itself
+	idx, _ := vs.find(grown, -1)
+	if got, want := vs.price(idx), (price{latency: 2.75, in: 7, out: 3}); got != want {
+		t.Fatalf("stored price %+v, want %+v (area is not stored)", got, want)
+	}
+	if vs.insert(b, 0, price{}) { // bit 0 is already in b: the same set as b itself
 		t.Fatal("set plus a member op not recognized as visited")
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		vs.insert(b, extra)
+		vs.insert(b, extra, price{})
 	}); got > 0 {
 		t.Fatalf("duplicate set-plus-op insert allocates %.1f objects/op; want 0", got)
 	}

@@ -12,7 +12,8 @@ import (
 // Fingerprint returns the exact content hash of the program: a hex SHA-256
 // string over everything the pipeline reads. It covers the program name
 // and, per block in order, the block name, successors, profile weight and
-// ops in program order — opcodes, custom-op identities, operand wiring,
+// ops in program order — opcodes, custom-op identities (name, latency,
+// result count and whether the unit reads memory), operand wiring,
 // immediates, input and live-out registers. Op IDs are not hashed:
 // operands refer to their producers by block position, so renumbering IDs
 // leaves the hash alone, while reordering any two ops — pure or not —
@@ -84,7 +85,9 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // appendBlock appends b's encoding: weight, op count, then each op as its
-// opcode, custom-op identity, arguments and live-out registers. Every
+// opcode, custom-op identity (a marker byte that also says whether the unit
+// reads memory, then name, latency and result count), arguments and
+// live-out registers. Every
 // field is fixed-width or count-prefixed, so the encoding parses
 // unambiguously front to back.
 func (st *hashState) appendBlock(buf []byte, b *Block) []byte {
@@ -97,7 +100,13 @@ func (st *hashState) appendBlock(buf []byte, b *Block) []byte {
 	for _, op := range b.Ops {
 		buf = binary.AppendUvarint(buf, uint64(op.Code))
 		if op.Custom != nil {
-			buf = append(buf, 0x01)
+			// 0x01 marks a custom op, 0x02 one that reads memory: a memory
+			// unit issues on other slots and is ordered against stores.
+			if op.Custom.UsesMemory {
+				buf = append(buf, 0x02)
+			} else {
+				buf = append(buf, 0x01)
+			}
 			buf = appendString(buf, op.Custom.Name)
 			buf = binary.AppendVarint(buf, int64(op.Custom.Latency))
 			buf = binary.AppendVarint(buf, int64(op.Custom.NumOut))

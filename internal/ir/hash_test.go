@@ -37,6 +37,29 @@ func TestBlockHashOrderAndWeightSensitive(t *testing.T) {
 	}
 }
 
+// TestHashesSeeCustomUsesMemory builds two programs whose only difference
+// is one custom op's UsesMemory flag, which moves the op to other issue
+// slots and orders it against stores: both hashes must tell them apart.
+func TestHashesSeeCustomUsesMemory(t *testing.T) {
+	build := func(mem bool) *ir.Program {
+		p := ir.NewProgram("x")
+		b := p.AddBlock("hot", 10)
+		ci := &ir.CustomInst{Name: "cfu0", Latency: 2, NumOut: 1, UsesMemory: mem}
+		b.EmitCustom(ci, b.Arg(ir.R(1)), b.Arg(ir.R(2))).Dests[0] = ir.R(8)
+		return p
+	}
+	plain, mem := build(false), build(true)
+	if ir.BlockHash(plain.Blocks[0]) == ir.BlockHash(mem.Blocks[0]) {
+		t.Error("BlockHash ignores Custom.UsesMemory")
+	}
+	if ir.Fingerprint(plain) == ir.Fingerprint(mem) {
+		t.Error("Fingerprint ignores Custom.UsesMemory")
+	}
+	if ir.BlockHash(mem.Blocks[0]) != ir.BlockHash(build(true).Blocks[0]) {
+		t.Error("BlockHash of a memory unit is not deterministic")
+	}
+}
+
 // BlockHash is the block half of every corpus key, on disk included, so
 // its bytes are a storage format. These values were written by the
 // original corpus-side implementation; a mismatch means corpora already on
