@@ -52,7 +52,7 @@ func TestCombineGroupsIsomorphs(t *testing.T) {
 	// Value: both occurrences are disjoint; saved = 3 ops - 1 cycle = 2;
 	// weight 500 each -> 2000.
 	if chain.SavedPerExec != 2 {
-		t.Fatalf("savedPerExec = %v, want 2", chain.SavedPerExec)
+		t.Fatalf("SavedPerExec = %v, want 2", chain.SavedPerExec)
 	}
 	if chain.Value != 2000 {
 		t.Fatalf("value = %v, want 2000", chain.Value)

@@ -10,9 +10,16 @@
 // place (ir.DFG.Reanalyze) after every replacement, and the buffers the
 // replacement's re-linearization reuses.
 //
+// A ScheduleMemo, passed in Options.Schedules, lets compiles that share
+// blocks schedule each distinct (block content, machine, register count)
+// once. It keeps only the schedule length and the spill count, which is
+// all a Report reads. The experiment harness owns one for its lifetime;
+// without one, every compile schedules every block.
+//
 // Main entry points: Compile is the whole pipeline; Options toggles
-// subsumed-variant matching, opcode-class wildcard matching, and the
-// pre-matching CSE/DCE optimizer; Report carries per-block cycle
-// accounting, slot utilization, and the baseline-vs-custom speedup that
+// subsumed-variant matching, opcode-class wildcard matching, the
+// pre-matching CSE/DCE optimizer and the schedule memo; Report carries
+// per-block cycle accounting (baseline and customized cycles,
+// replacements, spilled values) and the baseline-vs-custom speedup that
 // the paper's Figure 7 plots.
 package compile

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/mdes"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -30,8 +29,12 @@ type Options struct {
 	// cycle counts then use the optimized program, so the reported speedup
 	// still isolates the CFU effect.
 	Optimize bool
-	// Telemetry, when non-nil, receives the compile/match/schedule spans
-	// and the match-and-replace counters.
+	// Schedules, when non-nil, memoizes each block's schedule length and
+	// spill count across the compiles that share it (see ScheduleMemo).
+	Schedules *ScheduleMemo
+	// Telemetry, when non-nil, receives the compile/match/schedule spans,
+	// the match-and-replace counters and the schedule memo's hits and
+	// misses.
 	Telemetry *telemetry.Registry
 }
 
@@ -121,19 +124,19 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 	endSched := opts.Telemetry.StartSpan("compile.schedule")
 	defer endSched()
 	for bi, b := range p.Blocks {
-		baseSched, _, err := sched.ScheduleWithRegAlloc(b, mach, mach.IntRegs)
+		baseLen, _, err := opts.Schedules.schedule(b, mach, mach.IntRegs, opts.Telemetry)
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile: baseline %s: %w", b.Name, err)
 		}
 		nb := out.Blocks[bi]
-		customSched, stats, err := sched.ScheduleWithRegAlloc(nb, mach, mach.IntRegs)
+		customLen, spilled, err := opts.Schedules.schedule(nb, mach, mach.IntRegs, opts.Telemetry)
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile: customized %s: %w", nb.Name, err)
 		}
 		br := BlockReport{
 			Name: b.Name, Weight: b.Weight,
-			BaseCycles: baseSched.Length, CustomCycles: customSched.Length,
-			SpilledValues: stats.SpilledValues,
+			BaseCycles: baseLen, CustomCycles: customLen,
+			SpilledValues: spilled,
 		}
 		for _, op := range nb.Ops {
 			if op.Code == ir.Custom {
@@ -141,8 +144,8 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 			}
 		}
 		rep.Blocks = append(rep.Blocks, br)
-		rep.BaselineCycles += b.Weight * float64(baseSched.Length)
-		rep.CustomCycles += b.Weight * float64(customSched.Length)
+		rep.BaselineCycles += b.Weight * float64(baseLen)
+		rep.CustomCycles += b.Weight * float64(customLen)
 	}
 	if rep.CustomCycles > 0 {
 		rep.Speedup = rep.BaselineCycles / rep.CustomCycles

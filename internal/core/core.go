@@ -24,7 +24,7 @@ import (
 // The JSON tags are iscd's wire format: a tagged field is a request knob,
 // and a field tagged "-" is fixed by the server (the library and machine,
 // the seed) or belongs to the execution environment (the corpus,
-// telemetry, context, worker pool). Because the service's
+// telemetry, context, worker pool, schedule memo). Because the service's
 // cache key hashes this JSON form, every wire knob is part of the cache
 // identity by construction.
 type Config struct {
@@ -73,6 +73,9 @@ type Config struct {
 	// instead of re-searching, with selected results byte-identical to a
 	// cold run. Bypassed automatically when MaxCandidates is set.
 	Corpus *corpus.Corpus `json:"-"`
+	// Schedules, when non-nil, memoizes block schedules across compiles
+	// (compile.ScheduleMemo); outputs are identical with or without it.
+	Schedules *compile.ScheduleMemo `json:"-"`
 	// Telemetry, when non-nil, receives per-stage spans and counters from
 	// every stage of the flow (explore, combine, select, compile, sim).
 	Telemetry *telemetry.Registry `json:"-"`
@@ -273,6 +276,7 @@ func Compile(p *ir.Program, m *mdes.MDES, cfg Config) (*ir.Program, *compile.Rep
 		UseVariants:      cfg.UseVariants,
 		UseOpcodeClasses: cfg.UseOpcodeClasses,
 		Optimize:         cfg.Optimize,
+		Schedules:        cfg.Schedules,
 		Telemetry:        cfg.Telemetry,
 	})
 	if err != nil {

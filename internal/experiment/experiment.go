@@ -63,7 +63,10 @@ type Harness struct {
 	cands    map[string]*memoCell[candSet]
 	mdess    map[mdesKey]*memoCell[*mdes.MDES]
 	compiles map[compileKey]*memoCell[*compile.Report]
-	selLocks map[string]*sync.Mutex
+	// schedules is every compile's schedule memo (core.Config.Schedules):
+	// the harness's compiles share most of their blocks.
+	schedules *compile.ScheduleMemo
+	selLocks  map[string]*sync.Mutex
 	// jobNanos accumulates the pool jobs' busy time (AggregateJobTime);
 	// waitNanos accumulates time any harness call spent blocked on a memo
 	// cell another goroutine was computing or on a selection lock.
@@ -119,12 +122,13 @@ type candSet struct {
 // NewHarness returns a harness with the paper's defaults.
 func NewHarness() *Harness {
 	return &Harness{
-		Config:   core.Config{Lib: hwlib.Default(), Machine: machine.Default4Wide()},
-		benches:  make(map[string]*memoCell[*workloads.Benchmark]),
-		cands:    make(map[string]*memoCell[candSet]),
-		mdess:    make(map[mdesKey]*memoCell[*mdes.MDES]),
-		compiles: make(map[compileKey]*memoCell[*compile.Report]),
-		selLocks: make(map[string]*sync.Mutex),
+		Config:    core.Config{Lib: hwlib.Default(), Machine: machine.Default4Wide()},
+		benches:   make(map[string]*memoCell[*workloads.Benchmark]),
+		cands:     make(map[string]*memoCell[candSet]),
+		mdess:     make(map[mdesKey]*memoCell[*mdes.MDES]),
+		compiles:  make(map[compileKey]*memoCell[*compile.Report]),
+		schedules: compile.NewScheduleMemo(),
+		selLocks:  make(map[string]*sync.Mutex),
 	}
 }
 
@@ -241,10 +245,12 @@ func (h *Harness) compileOn(app, cfuSource string, budget float64, cfg core.Conf
 }
 
 // config returns the harness's normalized pipeline configuration, with
-// each exploration bounded to workers() goroutines.
+// each exploration bounded to workers() goroutines and every compile
+// scheduling through the harness's schedule memo.
 func (h *Harness) config() core.Config {
 	cfg := h.Config.Normalize()
 	cfg.Workers = h.workers()
+	cfg.Schedules = h.schedules
 	return cfg
 }
 

@@ -208,3 +208,82 @@ func TestSweepCompilesEachSelectionOnce(t *testing.T) {
 			miss, hit, 4*len(rows), 4*len(rows))
 	}
 }
+
+// TestSweepSchedulesEachBlockOnce checks the harness's schedule memo: a
+// native sweep schedules each distinct (block, machine, register count)
+// once, at every -j. The expected counts come from compiling each distinct
+// selection again without a memo: every compile schedules each block of
+// the original and of the customized program, and only a block content not
+// seen before is a miss.
+func TestSweepSchedulesEachBlockOnce(t *testing.T) {
+	names := workloads.Names()
+	if testing.Short() {
+		names = []string{"rijndael", "sha", "url"}
+	}
+	budgets := Budgets1to15()
+	pairs := make([]sweepPair, len(names))
+	for i, name := range names {
+		pairs[i] = sweepPair{name, name}
+	}
+	var want [2]int64
+	for _, j := range []int{1, 4} {
+		tel := telemetry.New("test")
+		h := NewHarness()
+		h.Telemetry = tel
+		h.Parallelism = j
+		if _, err := h.sweepAll(pairs, budgets); err != nil {
+			t.Fatal(err)
+		}
+		counters := tel.Snapshot().Counters
+		got := [2]int64{counters["memo.schedule.miss"], counters["memo.schedule.hit"]}
+		if j == 1 {
+			want = sweepSchedules(t, h, names, budgets)
+		}
+		if got != want {
+			t.Errorf("-j %d: memo.schedule miss/hit = %d/%d, want %d/%d", j, got[0], got[1], want[0], want[1])
+		}
+	}
+	// The figures the memo was sized from: 886 schedules of 224 distinct
+	// inputs in the full native sweep.
+	if !testing.Short() && want != [2]int64{224, 662} {
+		t.Errorf("full native sweep: %d distinct of %d schedules, want 224 of 886", want[0], want[0]+want[1])
+	}
+}
+
+// sweepSchedules counts the schedules a sweep of names over budgets on h
+// asks its memo for, and how many distinct inputs they have, by compiling
+// each distinct selection once more without a memo.
+func sweepSchedules(t *testing.T, h *Harness, names []string, budgets []float64) (missHit [2]int64) {
+	t.Helper()
+	cfg := core.Config{Lib: h.Lib, Machine: h.Machine}.Normalize()
+	compiled := make(map[compileKey]bool)
+	distinct := make(map[string]bool)
+	calls := 0
+	for _, name := range names {
+		b, err := h.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range budgets {
+			m, err := h.MDESAt(name, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := newCompileKey(name, m, h.config())
+			if compiled[key] {
+				continue
+			}
+			compiled[key] = true
+			out, _, err := core.Compile(b.Program, m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range out.Blocks {
+				distinct[ir.BlockHash(b.Program.Blocks[i])] = true
+				distinct[ir.BlockHash(out.Blocks[i])] = true
+				calls += 2
+			}
+		}
+	}
+	return [2]int64{int64(len(distinct)), int64(calls - len(distinct))}
+}

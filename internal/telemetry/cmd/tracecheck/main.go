@@ -61,7 +61,7 @@ func main() {
 		log.Fatal("trace is missing the memo.benchmark counters")
 	}
 	for _, want := range []string{
-		"memo.candidates.miss", "memo.compile.miss",
+		"memo.candidates.miss", "memo.compile.miss", "memo.schedule.miss",
 		"pool.busy_ns", "pool.wait_ns", "pool.capacity_ns", "pool.jobs",
 	} {
 		if _, ok := s.Counters[want]; !ok {
