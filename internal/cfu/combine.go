@@ -90,12 +90,23 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	// Most candidates open a CFU of their own (8132 candidates make 7594
 	// CFUs in gsmdecode), so size the index for them up front.
 	bySig := make(map[string][]*CFU, len(res.Candidates))
-	// About two in five candidates of a Figure-7 sweep join a CFU that
-	// already exists, so each one is built in the builder's scratch and
-	// copied out only when it opens a new CFU.
-	var sb graph.ShapeBuilder
-
-	for ci, cand := range res.Candidates {
+	// Candidates come in runs from one block. Each run's candidates are
+	// grouped by isomorphism in a shape index: the index of the corpus
+	// entry they were replayed from or memoized into, built by the first
+	// combination that reads it, or else one built here for the run. A
+	// candidate's CFU is then found once per class, and a CFU opened by a
+	// class keeps the class's shape.
+	var (
+		sb            graph.ShapeBuilder
+		idx           *graph.ShapeIndex
+		homes         []*CFU // class → CFU, for the current run
+		runStart      int
+		runEnd        int
+		runBuilt      bool
+		built, reused int64
+	)
+	cands := res.Candidates
+	for ci := range cands {
 		if opts.Ctx != nil && ci%64 == 0 {
 			select {
 			case <-opts.Ctx.Done():
@@ -106,30 +117,47 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 				break
 			}
 		}
-		sb.Build(cand.DFG, cand.Ops)
-		sig := sb.Sig()
-		var home *CFU
-		for _, c := range bySig[string(sig)] {
-			if sb.IsomorphicTo(c.Shape) {
-				home = c
-				break
-			}
+		cand := &cands[ci]
+		if ci == runEnd {
+			runStart, runEnd = ci, runOf(cands, ci)
+			idx, runBuilt = shapeIndex(&sb, cands[runStart:runEnd])
+			homes = append(homes[:0], make([]*CFU, len(idx.Shapes))...)
 		}
+		if runBuilt {
+			built++
+		} else {
+			reused++
+		}
+		pos := ci - runStart
+		if cand.Entry != nil {
+			pos = cand.EntryIndex
+		}
+		cls := idx.Class[pos]
+		home := homes[cls]
 		if home == nil {
-			key := string(sig)
-			shape := sb.Detach(key)
-			home = &CFU{
-				ID:      len(cfus),
-				Shape:   shape,
-				Area:    shape.Area(lib),
-				Latency: shape.Cycles(lib),
+			shape := idx.Shapes[cls]
+			for _, c := range bySig[shape.Signature()] {
+				if graph.Isomorphic(c.Shape, shape) {
+					home = c
+					break
+				}
 			}
-			// Cycles saved per execution: the subgraph's ops each occupy
-			// the single integer issue slot for a cycle in the baseline,
-			// while the CFU issues once and completes in its latency.
-			home.SavedPerExec = float64(len(shape.Nodes)) - float64(home.Latency)
-			cfus = append(cfus, home)
-			bySig[key] = append(bySig[key], home)
+			if home == nil {
+				home = &CFU{
+					ID:      len(cfus),
+					Shape:   shape,
+					Area:    shape.Area(lib),
+					Latency: shape.Cycles(lib),
+				}
+				// Cycles saved per execution: the subgraph's ops each
+				// occupy the single integer issue slot for a cycle in the
+				// baseline, while the CFU issues once and completes in its
+				// latency.
+				home.SavedPerExec = float64(len(shape.Nodes)) - float64(home.Latency)
+				cfus = append(cfus, home)
+				bySig[shape.Signature()] = append(bySig[shape.Signature()], home)
+			}
+			homes[cls] = home
 		}
 		home.Occurrences = append(home.Occurrences, Occurrence{Block: cand.Block, DFG: cand.DFG, Ops: cand.Ops, Weight: cand.Block.Weight})
 	}
@@ -151,10 +179,33 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	}
 	opts.Telemetry.Add("combine.candidates.in", int64(len(res.Candidates)))
 	opts.Telemetry.Add("combine.cfus.out", int64(len(cfus)))
+	opts.Telemetry.Add("combine.shapes.built", built)
+	opts.Telemetry.Add("combine.shapes.reused", reused)
 	if truncated {
 		opts.Telemetry.Add("combine.truncated", 1)
 	}
 	return cfus, truncated
+}
+
+// runOf returns the end of the run of candidates starting at i: the
+// candidates after it that share its corpus entry and its DFG.
+func runOf(cands []explore.Candidate, i int) int {
+	e, d := cands[i].Entry, cands[i].DFG
+	j := i + 1
+	for j < len(cands) && cands[j].Entry == e && cands[j].DFG == d {
+		j++
+	}
+	return j
+}
+
+// shapeIndex returns the shape index of a run of candidates, and whether
+// it was built for this call. A run from a corpus entry reads the entry's
+// index, which the entry builds once; any other run gets one of its own.
+func shapeIndex(sb *graph.ShapeBuilder, run []explore.Candidate) (*graph.ShapeIndex, bool) {
+	if e := run[0].Entry; e != nil {
+		return e.Shapes(sb, run[0].DFG)
+	}
+	return sb.Index(run[0].DFG, len(run), func(i int) []int { return run[i].Ops }), true
 }
 
 // AnalyzeRelationships generates subsumed variants and records the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/graph"
+	"repro/internal/ir"
 	"repro/internal/telemetry"
 )
 
@@ -45,6 +47,26 @@ type Entry struct {
 	Candidates []Candidate `json:"c"`
 	Examined   int         `json:"e"`
 	Pruned     int         `json:"p"`
+
+	// shapes is the candidates' shape index, built by the first Shapes
+	// call. It lives in memory only: the disk tier stores what exploration
+	// decides, and the index is a function of that and the block.
+	shapesOnce sync.Once
+	shapes     *graph.ShapeIndex
+}
+
+// Shapes returns the entry's candidates grouped by isomorphism (see
+// graph.ShapeIndex), lifting them out of d, the DFG of a block the entry
+// was recorded or replayed for, on the first call. built reports whether
+// this call built the index. Any block with the entry's key gives the same
+// index, so concurrent replays of one entry share the first one's: they
+// read its shapes and never mutate them. sb supplies the build's buffers.
+func (e *Entry) Shapes(sb *graph.ShapeBuilder, d *ir.DFG) (idx *graph.ShapeIndex, built bool) {
+	e.shapesOnce.Do(func() {
+		e.shapes = sb.Index(d, len(e.Candidates), func(i int) []int { return e.Candidates[i].Members })
+		built = true
+	})
+	return e.shapes, built
 }
 
 // Corpus is a two-tier memo of explored blocks: a bounded in-memory LRU in

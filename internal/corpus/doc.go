@@ -28,10 +28,26 @@
 // associative, so a recompute-from-members could differ in the last ulp
 // and break the warm-equals-cold byte-identity guarantee downstream.
 //
-// Grouping candidates by isomorphism is not the corpus's job: combine does
-// it once per run through graph.Shape. Records written when candidates
-// still carried a shape hash (an "s" field) load unchanged, because
-// decoding ignores fields it does not know.
+// # Shape index (memory only)
+//
+// Each Entry also carries its candidates grouped by isomorphism, a
+// graph.ShapeIndex: one detached pattern per class and each candidate's
+// class number. Entry.Shapes builds it on first use, under a sync.Once
+// because iscd requests and harness pool jobs replay one entry
+// concurrently, from the DFG of whichever block asks first: any block with
+// the entry's key lifts the same patterns. Combination then reads every
+// replayed candidate's shape and signature from the index, so a
+// long-lived corpus lifts each entry's candidates into shapes once rather
+// than once per run, and the CFUs of every run share the index's
+// immutable shapes.
+//
+// The index is never serialized. It is a pure function of what the entry
+// stores and the block, so writing it would add bytes without adding
+// information, and it would tie the disk format to graph.Shape's layout.
+// The disk bytes are those of earlier versions, existing corpora stay
+// warm, and a reopened corpus rebuilds each index on its first use.
+// Records written when candidates still carried a shape hash (an "s"
+// field) load unchanged, because decoding ignores fields it does not know.
 //
 // # Storage
 //

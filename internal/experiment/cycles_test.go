@@ -12,16 +12,17 @@ import (
 // TestReportedCyclesAreExecuted checks the cycle model's promise on the
 // memoized path: the weighted cycles a compile reports, for the original
 // and for the customized program, are the cycles vliwsim executes. Every
-// point compiles through one harness, so all of them share its schedule
-// memo. The tier-1 run samples four benchmarks at budgets 4 and 15; with
-// REPRO_CYCLE_GRID=all it covers all 240 Figure-7 points.
+// point compiles through the package's shared harness, so all of them
+// share its schedule memo. The tier-1 run samples four benchmarks at
+// budgets 4 and 15; with REPRO_CYCLE_GRID=all it covers all 240 Figure-7
+// points.
 func TestReportedCyclesAreExecuted(t *testing.T) {
 	names := []string{"blowfish", "gsmdecode", "sha", "crc"}
 	budgets := []float64{4, 15}
 	if os.Getenv("REPRO_CYCLE_GRID") == "all" {
 		names, budgets = workloads.Names(), Budgets1to15()
 	}
-	h := NewHarness()
+	h := sharedHarness()
 	cfg := h.config()
 	mach := cfg.Machine
 	for _, name := range names {

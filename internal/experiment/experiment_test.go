@@ -39,7 +39,7 @@ func TestNativeSweepBlowfish(t *testing.T) {
 }
 
 func TestCrossCompileNeverBeatsNative(t *testing.T) {
-	h := NewHarness()
+	h := sharedHarness()
 	nat, err := h.Sweep("rijndael", "rijndael", []float64{15})
 	if err != nil {
 		t.Fatal(err)

@@ -18,17 +18,24 @@ import (
 // Figure 7 sweep, fanned out over 2 or 8 workers in the interleaved job
 // order, merges into exactly the same []*SweepResult — order and values —
 // as the serial run, with and without a warm in-memory corpus, so reports
-// and golden figures can never drift with -j.
+// and golden figures can never drift with -j. Combination lifts each
+// candidate into a shape once per corpus entry: a sweep without a corpus,
+// or the one that fills it, reuses no shape, and a sweep replaying the
+// filled corpus builds none.
 func TestParallelDeterminism(t *testing.T) {
 	budgets := Budgets1to15()
 	if testing.Short() {
 		budgets = []float64{1, 4, 9, 15}
 	}
-	sweep := func(t *testing.T, j int, store *corpus.Corpus) map[string][]*SweepResult {
+	// fig7Candidates is the number of candidates the 16 benchmarks'
+	// explorations record.
+	const fig7Candidates = 25452
+	sweep := func(t *testing.T, j int, store *corpus.Corpus) (map[string][]*SweepResult, map[string]int64) {
 		t.Helper()
 		h := NewHarness()
 		h.Parallelism = j
 		h.Corpus = store
+		h.Telemetry = telemetry.New("test")
 		out := make(map[string][]*SweepResult)
 		for _, d := range workloads.DomainNames() {
 			rs, err := h.Fig7Native(d, budgets)
@@ -37,24 +44,40 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			out[d] = rs
 		}
-		return out
+		return out, h.Telemetry.Snapshot().Counters
 	}
-	want := sweep(t, 1, nil)
+	// The serial baseline is the shared harness's sweep.
+	want := make(map[string][]*SweepResult)
+	for _, d := range workloads.DomainNames() {
+		rs, err := sharedHarness().Fig7Native(d, budgets)
+		if err != nil {
+			t.Fatalf("-j 1 %s: %v", d, err)
+		}
+		want[d] = rs
+	}
 	store, err := corpus.Open("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The first corpus run fills the corpus; the later ones replay it.
-	for _, run := range []struct {
+	for i, run := range []struct {
 		j     int
 		store *corpus.Corpus
 	}{{1, store}, {2, nil}, {8, nil}, {1, store}, {2, store}, {8, store}} {
-		got := sweep(t, run.j, run.store)
+		got, counters := sweep(t, run.j, run.store)
 		for _, d := range workloads.DomainNames() {
 			if !reflect.DeepEqual(want[d], got[d]) {
 				t.Fatalf("-j %d (corpus %v) %s sweep diverged from the serial baseline:\nserial:   %+v\nparallel: %+v",
 					run.j, run.store != nil, d, dump(want[d]), dump(got[d]))
 			}
+		}
+		wantBuilt, wantReused := int64(fig7Candidates), int64(0)
+		if run.store != nil && i > 0 {
+			wantBuilt, wantReused = 0, fig7Candidates
+		}
+		if b, r := counters["combine.shapes.built"], counters["combine.shapes.reused"]; b != wantBuilt || r != wantReused {
+			t.Errorf("-j %d (corpus %v, run %d): %d shapes built, %d reused; want %d, %d",
+				run.j, run.store != nil, i, b, r, wantBuilt, wantReused)
 		}
 	}
 	if st := store.Stats(); st.Hits == 0 {

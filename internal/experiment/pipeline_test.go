@@ -67,8 +67,11 @@ func TestHarnessMatchesCore(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := NewHarness()
-			h.Lib, h.SelectMode = c.lib, c.mode
+			h := sharedHarness()
+			if c.name != "default" {
+				h = NewHarness()
+				h.Lib, h.SelectMode = c.lib, c.mode
+			}
 			for _, name := range names {
 				b, err := workloads.ByName(name)
 				if err != nil {

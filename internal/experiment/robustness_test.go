@@ -33,9 +33,7 @@ func stripCurve(rendered, label string) string {
 func TestSweepSurvivesInjectedPanic(t *testing.T) {
 	budgets := []float64{2, 5}
 
-	clean := NewHarness()
-	clean.Parallelism = 2
-	want, err := clean.Fig7Native("network", budgets)
+	want, err := sharedHarness().Fig7Native("network", budgets)
 	if err != nil {
 		t.Fatal(err)
 	}

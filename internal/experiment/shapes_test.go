@@ -13,7 +13,7 @@ func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape regression skipped in -short mode")
 	}
-	h := NewHarness()
+	h := sharedHarness()
 	speedup := map[string]float64{}
 	for _, app := range workloads.Names() {
 		r, err := h.Sweep(app, app, []float64{15})

@@ -86,8 +86,12 @@ func exploreBlockMemo(strat Strategy, b *ir.Block, cfg Config, res *Result, bud 
 	if res.Stats.Truncated {
 		return
 	}
-	cfg.Corpus.Insert(key, buildEntry(res.Candidates[start:],
-		res.Stats.Examined-exBefore, res.Stats.PrunedDirections-prBefore))
+	cands := res.Candidates[start:]
+	e := buildEntry(cands, res.Stats.Examined-exBefore, res.Stats.PrunedDirections-prBefore)
+	cfg.Corpus.Insert(key, e)
+	for i := range cands {
+		cands[i].Entry, cands[i].EntryIndex = e, i
+	}
 }
 
 // replayEntry appends e's candidates to res exactly as the cold path
@@ -97,7 +101,8 @@ func exploreBlockMemo(strat Strategy, b *ir.Block, cfg Config, res *Result, bud 
 // false — leaving res untouched, so the caller falls back to the cold path
 // — when any member list is not strictly ascending or does not fit b, the
 // symptom of a hash collision or a foreign disk record. Each candidate's
-// Ops share the entry's member list.
+// Ops share the entry's member list, and each candidate names e as its
+// Entry.
 func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 	n := len(b.Ops)
 	for i := range e.Candidates {
@@ -122,6 +127,7 @@ func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 			Area:    math.Float64frombits(c.AreaBits),
 			Latency: math.Float64frombits(c.LatencyBits),
 			Inputs:  c.Inputs, Outputs: c.Outputs,
+			Entry: e, EntryIndex: i,
 		})
 		res.Stats.Recorded++
 	}

@@ -25,7 +25,10 @@
 //   - Explore: per-program entry; returns a Result with candidates and
 //     Stats (nodes examined, directions pruned, truncation). Each
 //     Candidate carries its subgraph as Ops, ascending op indices within
-//     its block, shared read-only with the corpus.
+//     its block, shared read-only with the corpus. A candidate replayed
+//     from or memoized into the corpus also names its Entry and its
+//     position there, so combination can read its shape from the entry's
+//     shape index.
 //   - Config / DefaultConfig: guide weights, Constraints (input/output port
 //     limits, §3.1), anytime controls (Ctx, Deadline, MaxCandidates — all
 //     yield best-so-far results tagged Truncated), and Workers, the bound

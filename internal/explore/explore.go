@@ -146,6 +146,12 @@ type Candidate struct {
 	Latency float64
 	Inputs  int
 	Outputs int
+	// Entry, when not nil, is the corpus entry the candidate was replayed
+	// from or memoized into, and EntryIndex its position among the entry's
+	// candidates. Combination reads the candidate's shape from the entry's
+	// shape index (corpus.Entry.Shapes) rather than lifting it again.
+	Entry      *corpus.Entry
+	EntryIndex int
 }
 
 // Stats records exploration effort for the Figure 3 study.

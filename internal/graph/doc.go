@@ -14,6 +14,10 @@
 //     out of a block's DFG into reused buffers without building maps;
 //     signs it, compares it with a bucket's shapes, and copies it to the
 //     heap (Detach) only when it is kept. FromOps is the one-shot form.
+//   - ShapeIndex: one block's candidates grouped by isomorphism, one
+//     detached shape per class plus each candidate's class, built by
+//     ShapeBuilder.Index. Combination reads shapes from it; a corpus entry
+//     keeps one so that replays lift nothing.
 //   - Isomorphic: exact pattern equality (signature collisions re-checked),
 //     allocation-free for shapes of up to 32 nodes.
 //   - FindMatches: all occurrences of a pattern in a block's DFG, with

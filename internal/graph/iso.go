@@ -89,8 +89,13 @@ func (sc *sigScratch) sign(s *Shape) []byte {
 // candidate subgraphs into CFUs. Differing signatures prove
 // non-isomorphism, so the cached keys short-circuit the backtracking
 // search; WildcardPair cannot use this filter because its one allowed
-// opcode mismatch changes the signature.
+// opcode mismatch changes the signature. A shape is isomorphic to itself
+// without a search, which lets candidates that share one shape (a
+// ShapeIndex class) skip it.
 func Isomorphic(a, b *Shape) bool {
+	if a == b {
+		return true
+	}
 	if a.Signature() != b.Signature() {
 		return false
 	}

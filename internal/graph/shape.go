@@ -285,6 +285,10 @@ type ShapeBuilder struct {
 	refs      []Ref
 	inputs    []ir.Operand
 	sig       sigScratch
+	// classBySig and nextClass are Index's scratch: the first class of
+	// each signature, and each class's successor under its signature.
+	classBySig map[string]int32
+	nextClass  []int32
 }
 
 // Build lifts the candidate subgraph whose op indices within d's block are
@@ -422,4 +426,57 @@ func (s *Shape) ImmValues(d *ir.DFG, nodeToOp []int) []uint32 {
 		}
 	}
 	return imms
+}
+
+// ShapeIndex groups the candidate subgraphs of one block by isomorphism.
+// It holds one shape per class, lifted from the class's first candidate
+// with its signature cached, and the class number of every candidate.
+// Combination reads each candidate's shape from an index instead of
+// lifting it again, so an index built once can serve every later
+// combination of the same candidates. An index is immutable once built
+// and safe to share between goroutines; so are its shapes.
+type ShapeIndex struct {
+	Shapes []*Shape
+	// Class[i] is the position in Shapes of candidate i's class.
+	Class []int32
+}
+
+// Index lifts n candidate subgraphs of d's block, ops(i) giving candidate
+// i's op indices, and groups them into a ShapeIndex. A candidate joins the
+// first earlier class its shape is isomorphic to; otherwise it opens a
+// class whose shape is its own, detached with its signature.
+func (b *ShapeBuilder) Index(d *ir.DFG, n int, ops func(i int) []int) *ShapeIndex {
+	x := &ShapeIndex{Class: make([]int32, n)}
+	if b.classBySig == nil {
+		b.classBySig = make(map[string]int32)
+	}
+	clear(b.classBySig)
+	next := b.nextClass[:0]
+	for i := range n {
+		b.Build(d, ops(i))
+		sig := b.Sig()
+		cls, last := int32(-1), int32(-1)
+		k, ok := b.classBySig[string(sig)]
+		for ; ok && k >= 0; k = next[k] {
+			if b.IsomorphicTo(x.Shapes[k]) {
+				cls = k
+				break
+			}
+			last = k
+		}
+		if cls < 0 {
+			key := string(sig)
+			cls = int32(len(x.Shapes))
+			x.Shapes = append(x.Shapes, b.Detach(key))
+			next = append(next, -1)
+			if last < 0 {
+				b.classBySig[key] = cls
+			} else {
+				next[last] = cls
+			}
+		}
+		x.Class[i] = cls
+	}
+	b.nextClass = next
+	return x
 }
