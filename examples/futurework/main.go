@@ -9,14 +9,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/cfu"
-	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/hdl"
 	"repro/internal/hwlib"
-	"repro/internal/mdes"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -42,28 +37,18 @@ func main() {
 	fmt.Printf("%s with multi-function candidates:       %.2fx\n", bench.Name, multi.Report.Speedup)
 
 	// Extension 2: loads allowed inside CFUs (memory-enabled library).
-	lib := hwlib.MemoryEnabled()
-	res := explore.Explore(bench.Program, explore.DefaultConfig(lib))
-	cands := cfu.Combine(res, lib, cfu.CombineOptions{})
-	sel := cfu.Select(cands, cfu.SelectOptions{Budget: 15, Lib: lib})
-	m := mdes.FromSelection(bench.Name, 15, sel)
-	out, rep, err := compile.Compile(bench.Program, m, compile.Options{Lib: lib})
+	mem, err := core.Customize(bench.Program, core.Config{Lib: hwlib.MemoryEnabled(), Budget: 15, Verify: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range bench.Program.Blocks {
-		if err := sim.Equivalent(bench.Program.Blocks[i], out.Blocks[i], 15, uint32(i+1)); err != nil {
-			log.Fatalf("memory-CFU verification failed: %v", err)
-		}
-	}
 	memCFUs := 0
-	for i := range m.CFUs {
-		if m.CFUs[i].Shape.UsesMemory() {
+	for i := range mem.MDES.CFUs {
+		if mem.MDES.CFUs[i].Shape.UsesMemory() {
 			memCFUs++
 		}
 	}
 	fmt.Printf("%s with loads allowed inside CFUs:       %.2fx (%d load-bearing units, all verified)\n",
-		bench.Name, rep.Speedup, memCFUs)
+		bench.Name, mem.Report.Speedup, memCFUs)
 
 	// Hand the ALU-only units to a hardware team.
 	f, err := os.Create("ipchains_cfus.v")

@@ -226,28 +226,46 @@ func prepare(p *ir.Program, cfg Config) (Config, error) {
 	return cfg, nil
 }
 
+// ExploreConfig returns the exploration settings c describes: the one
+// place a core.Config becomes an explore.Config. Callers that study an
+// exploration setting core.Config does not carry (naive growth, guide
+// weights, a relaxed port pool) adjust the returned value. c must be
+// normalized.
+func (c Config) ExploreConfig() explore.Config {
+	ecfg := explore.DefaultConfig(c.Lib)
+	ecfg.Strategy = c.Strategy
+	ecfg.CostModel = c.CostModel
+	ecfg.Seed = c.Seed
+	ecfg.Constraints = c.Constraints
+	ecfg.Telemetry = c.Telemetry
+	ecfg.Ctx = c.Ctx
+	ecfg.Deadline = c.ExploreDeadline
+	ecfg.MaxCandidates = c.MaxCandidates
+	ecfg.Corpus = c.Corpus
+	ecfg.Workers = c.Workers
+	return ecfg
+}
+
 // Explore runs the flow's discovery stages on p: dataflow-graph
-// exploration, then candidate combination, then the multi-function merge
-// when cfg.MultiFunction is set. truncated reports that an anytime budget
-// cut exploration or combination short. cfg must be normalized and valid.
+// exploration under cfg.ExploreConfig(), then Combine. truncated reports
+// that an anytime budget cut exploration or combination short. cfg must
+// be normalized and valid.
 func Explore(p *ir.Program, cfg Config) (cands []*cfu.CFU, stats explore.Stats, truncated bool) {
-	ecfg := explore.DefaultConfig(cfg.Lib)
-	ecfg.Strategy = cfg.Strategy
-	ecfg.CostModel = cfg.CostModel
-	ecfg.Seed = cfg.Seed
-	ecfg.Constraints = cfg.Constraints
-	ecfg.Telemetry = cfg.Telemetry
-	ecfg.Ctx = cfg.Ctx
-	ecfg.Deadline = cfg.ExploreDeadline
-	ecfg.MaxCandidates = cfg.MaxCandidates
-	ecfg.Corpus = cfg.Corpus
-	ecfg.Workers = cfg.Workers
-	res := explore.Explore(p, ecfg)
-	cands, ctrunc := cfu.CombinePartial(res, cfg.Lib, cfu.CombineOptions{Telemetry: cfg.Telemetry, Ctx: cfg.Ctx})
+	res := explore.Explore(p, cfg.ExploreConfig())
+	cands, truncated = Combine(res, cfg)
+	return cands, res.Stats, truncated
+}
+
+// Combine groups an exploration's candidates into CFUs, then adds the
+// multi-function merge when cfg.MultiFunction is set. truncated reports
+// that an anytime budget cut the exploration (res.Stats.Truncated) or the
+// combination short.
+func Combine(res *explore.Result, cfg Config) (cands []*cfu.CFU, truncated bool) {
+	cands, truncated = cfu.CombinePartial(res, cfg.Lib, cfu.CombineOptions{Telemetry: cfg.Telemetry, Ctx: cfg.Ctx})
 	if cfg.MultiFunction {
 		cands = cfu.BuildMultiFunction(cands, cfg.Lib)
 	}
-	return cands, res.Stats, res.Stats.Truncated || ctrunc
+	return cands, res.Stats.Truncated || truncated
 }
 
 // Select spends cfg.Budget on sel's candidates and returns the machine

@@ -47,7 +47,11 @@ func Budgets1to15() []float64 {
 // pipeline stages; set it before the first run, since the memo caches key
 // on benchmark name and budget (and the compile memo on four compiler
 // knobs), not on the whole configuration. Each call names its own budget,
-// and Parallelism replaces Config.Workers.
+// and Parallelism replaces Config.Workers. A study that varies an
+// exploration setting adjusts only that setting of Config.ExploreConfig().
+// Fig3 and GuideWeightAblation study the enumerative guide function: they
+// refuse any other Strategy, and explore without the Corpus, whose replays
+// leave the effort counters they print at zero.
 // Config.Telemetry also receives the memo-cache hit/miss counters and the
 // worker-pool utilization.
 type Harness struct {
@@ -277,11 +281,15 @@ type SweepResult struct {
 }
 
 // Label renders the curve name as the paper does ("rijndael-blowfish").
-func (s *SweepResult) Label() string {
-	if s.App == s.CFUSource {
-		return s.App
+func (s *SweepResult) Label() string { return pairLabel(s.App, s.CFUSource) }
+
+// pairLabel renders an (application, CFU source) pair as "app-source", or
+// just "app" for a native pair.
+func pairLabel(app, src string) string {
+	if app == src {
+		return app
 	}
-	return s.App + "-" + s.CFUSource
+	return app + "-" + src
 }
 
 // sweepPair is one (application, CFU source) curve request.
@@ -419,12 +427,7 @@ type ExtensionResult struct {
 }
 
 // Label renders "app-source" or just "app" for native pairs.
-func (e *ExtensionResult) Label() string {
-	if e.App == e.CFUSource {
-		return e.App
-	}
-	return e.App + "-" + e.CFUSource
-}
+func (e *ExtensionResult) Label() string { return pairLabel(e.App, e.CFUSource) }
 
 // ExtensionStudy reproduces Figures 8 and 9 for one domain: all app x CFU
 // set combinations at the given cost point, under the four matching modes.
@@ -487,6 +490,16 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 		apps = workloads.Names()
 	}
 	cfg := h.config()
+	inf := cfg
+	inf.Budget = 1e9
+	// The unconstrained pool is the union of a relaxed exploration
+	// (generous ports, narrow fanout, high effort cap), which grows
+	// candidates toward the paper's 200-op, 80-port CFUs without
+	// enumerating the now-enormous middle of the design space, and the
+	// constrained one, of which it is thus a superset.
+	relaxed := cfg.ExploreConfig()
+	relaxed.Constraints = explore.Constraints{MaxInputs: 96, MaxOutputs: 48}
+	relaxed.OvershootIO, relaxed.Fanout, relaxed.MaxExamined = 8, 2, 60000
 	out := make([]*LimitResult, len(apps))
 	err := h.parallelFor(len(apps), func(i int) error {
 		app := apps[i]
@@ -494,45 +507,53 @@ func (h *Harness) LimitStudy(apps []string) ([]*LimitResult, error) {
 		if err != nil {
 			return err
 		}
-
-		// Unconstrained run. The candidate pool is the union of the
-		// default exploration and a relaxed one (generous ports, narrow
-		// fanout, high effort cap) that grows candidates toward
-		// whole-block size — the paper's 200-op, 80-port CFUs — without
-		// enumerating the now-enormous middle of the design space. The
-		// union guarantees the unconstrained pool is a superset of the
-		// constrained one.
 		b, err := h.Benchmark(app)
 		if err != nil {
 			return err
 		}
-		relaxed := explore.DefaultConfig(h.Lib)
-		relaxed.MaxInputs = 96
-		relaxed.MaxOutputs = 48
-		relaxed.OvershootIO = 8
-		relaxed.Fanout = 2
-		relaxed.MaxExamined = 60000
-		relaxed.Workers = h.workers()
-		res := explore.Explore(b.Program, relaxed)
-		bcfg := explore.DefaultConfig(h.Lib)
-		bcfg.Workers = h.workers()
-		base := explore.Explore(b.Program, bcfg)
-		res.Candidates = append(res.Candidates, base.Candidates...)
-
-		// The unconstrained pool is local to this job, so no select lock.
-		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})
-		inf := cfg
-		inf.Budget = 1e9
-		m := core.Select(app, cfu.NewSelector(cands), false, inf)
-		_, repInf, err := core.Compile(b.Program, m, inf)
+		_, unlimited, _, err := customize(app, b.Program, inf, relaxed, cfg.ExploreConfig())
 		if err != nil {
 			return err
 		}
-		out[i] = &LimitResult{App: app, At15: rep15.Speedup, Unlimited: repInf.Speedup}
+		out[i] = &LimitResult{App: app, At15: rep15.Speedup, Unlimited: unlimited}
 		return nil
 	})
 	// Partial results: rows for failed apps stay nil; renderers skip them.
 	return out, err
+}
+
+// customize runs the flow on a study's own candidate pool, local to the
+// call and so needing no selection lock: the union, in order, of p's
+// explorations under ecfgs, combined and selected under cfg and compiled.
+// examined sums the explorations' examined subgraphs.
+func customize(name string, p *ir.Program, cfg core.Config, ecfgs ...explore.Config) (m *mdes.MDES, speedup float64, examined int, err error) {
+	var res explore.Result
+	for _, ecfg := range ecfgs {
+		r := explore.Explore(p, ecfg)
+		res.Candidates = append(res.Candidates, r.Candidates...)
+		res.Stats.Examined += r.Stats.Examined
+		res.Stats.Truncated = res.Stats.Truncated || r.Stats.Truncated
+	}
+	cands, truncated := core.Combine(&res, cfg)
+	m = core.Select(name, cfu.NewSelector(cands), truncated, cfg)
+	_, rep, err := core.Compile(p, m, cfg)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return m, rep.Speedup, res.Stats.Examined, nil
+}
+
+// guideStudyConfig returns the configuration of a study of the enumerative
+// guide function, or an error naming a strategy that does not read Naive,
+// Weights or Fanout. The corpus is left out: the studies print effort
+// counters, and a replayed block examines nothing.
+func (h *Harness) guideStudyConfig(study string) (core.Config, error) {
+	cfg := h.config()
+	if cfg.Strategy != explore.StrategyEnumerate {
+		return cfg, fmt.Errorf("experiment: %s studies the enumerative guide function, which strategy %q does not use", study, cfg.Strategy)
+	}
+	cfg.Corpus = nil
+	return cfg, nil
 }
 
 // ExplorationStats reproduces Figure 3: subgraphs examined by candidate
@@ -555,8 +576,12 @@ type ExplorationStats struct {
 }
 
 // Fig3 runs both exploration modes over the benchmark with the same
-// examination budget (0 = 200000).
+// examination budget (0 = 200000). It refuses any strategy but enumerate.
 func (h *Harness) Fig3(app string, budget int) (*ExplorationStats, error) {
+	cfg, err := h.guideStudyConfig("Figure 3")
+	if err != nil {
+		return nil, err
+	}
 	b, err := h.Benchmark(app)
 	if err != nil {
 		return nil, err
@@ -564,14 +589,11 @@ func (h *Harness) Fig3(app string, budget int) (*ExplorationStats, error) {
 	if budget == 0 {
 		budget = 200000
 	}
-	gcfg := explore.DefaultConfig(h.Lib)
+	gcfg := cfg.ExploreConfig()
 	gcfg.MaxExamined = budget
-	gcfg.Workers = h.workers()
 	guided := explore.Explore(b.Program, gcfg)
-	ncfg := explore.DefaultConfig(h.Lib)
+	ncfg := gcfg
 	ncfg.Naive = true
-	ncfg.MaxExamined = budget
-	ncfg.Workers = h.workers()
 	naive := explore.Explore(b.Program, ncfg)
 
 	st := &ExplorationStats{
@@ -583,14 +605,10 @@ func (h *Harness) Fig3(app string, budget int) (*ExplorationStats, error) {
 		GuidedTotal:  guided.Stats.Examined,
 	}
 	for s := range st.NaiveBySize {
-		if s > st.NaiveMaxSize {
-			st.NaiveMaxSize = s
-		}
+		st.NaiveMaxSize = max(st.NaiveMaxSize, s)
 	}
 	for s := range st.GuidedBySize {
-		if s > st.GuidedMaxSize {
-			st.GuidedMaxSize = s
-		}
+		st.GuidedMaxSize = max(st.GuidedMaxSize, s)
 	}
 	return st, nil
 }
@@ -623,12 +641,7 @@ type MultiFunctionResult struct {
 }
 
 // Label renders "app-source" or just "app" for native pairs.
-func (r *MultiFunctionResult) Label() string {
-	if r.App == r.CFUSource {
-		return r.App
-	}
-	return r.App + "-" + r.CFUSource
-}
+func (r *MultiFunctionResult) Label() string { return pairLabel(r.App, r.CFUSource) }
 
 // multiFuncMDES selects CFUs for source under cfg with merged
 // multi-function candidates admitted, returning the MDES and how many
@@ -726,38 +739,32 @@ func (h *Harness) MemoryCFUStudy(apps []string, budget float64) ([]*MemoryCFURes
 	}
 	cfg := h.config()
 	mem := cfg
-	mem.Lib = hwlib.MemoryEnabled()
-	mem.Budget = budget
-	mem.Verify = true
-	var out []*MemoryCFUResult
-	for _, app := range apps {
+	mem.Lib, mem.Budget, mem.Verify = hwlib.MemoryEnabled(), budget, true
+	out := make([]*MemoryCFUResult, len(apps))
+	err := h.parallelFor(len(apps), func(i int) error {
+		app := apps[i]
 		base, err := h.compileOn(app, app, budget, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b, err := h.Benchmark(app)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ecfg := explore.DefaultConfig(mem.Lib)
-		ecfg.Workers = h.workers()
-		res := explore.Explore(b.Program, ecfg)
-		cands := cfu.Combine(res, mem.Lib, cfu.CombineOptions{})
-		m := core.Select(app, cfu.NewSelector(cands), false, mem)
-		r := &MemoryCFUResult{App: app, NoMem: base.Speedup}
+		m, withMem, _, err := customize(app, b.Program, mem, mem.ExploreConfig())
+		if err != nil {
+			return fmt.Errorf("experiment: memcfu %s: %w", app, err)
+		}
+		out[i] = &MemoryCFUResult{App: app, NoMem: base.Speedup, WithMem: withMem}
 		for _, spec := range m.CFUs {
 			if spec.Shape.UsesMemory() {
-				r.MemCFUs++
+				out[i].MemCFUs++
 			}
 		}
-		_, rep, err := core.Compile(b.Program, m, mem)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: memcfu %s: %w", app, err)
-		}
-		r.WithMem = rep.Speedup
-		out = append(out, r)
-	}
-	return out, nil
+		return nil
+	})
+	// Partial results: rows for failed apps stay nil; renderers skip them.
+	return out, err
 }
 
 // UnrollResult is one row of the unrolling study: speedup with CFUs
@@ -786,13 +793,11 @@ func (h *Harness) UnrollStudy(app string, factors []int, budget float64) ([]*Unr
 		if err != nil {
 			return nil, err
 		}
-		cands, _, truncated := core.Explore(up, cfg)
-		m := core.Select(app, cfu.NewSelector(cands), truncated, cfg)
-		_, rep, err := core.Compile(up, m, cfg)
+		_, speedup, _, err := customize(app, up, cfg, cfg.ExploreConfig())
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &UnrollResult{App: app, Factor: f, Speedup: rep.Speedup})
+		out = append(out, &UnrollResult{App: app, Factor: f, Speedup: speedup})
 	}
 	return out, nil
 }
@@ -847,8 +852,12 @@ type GuideAblation struct {
 }
 
 // GuideWeightAblation runs the named weight settings on one app at the
-// 15-adder point.
+// 15-adder point. It refuses any strategy but enumerate.
 func (h *Harness) GuideWeightAblation(app string) ([]*GuideAblation, error) {
+	cfg, err := h.guideStudyConfig("the guide-weight ablation")
+	if err != nil {
+		return nil, err
+	}
 	b, err := h.Benchmark(app)
 	if err != nil {
 		return nil, err
@@ -859,38 +868,25 @@ func (h *Harness) GuideWeightAblation(app string) ([]*GuideAblation, error) {
 		{Name: "latency-heavy", Weights: explore.GuideWeights{Criticality: 5, Latency: 25, Area: 5, IO: 5}},
 		{Name: "io-heavy", Weights: explore.GuideWeights{Criticality: 5, Latency: 5, Area: 5, IO: 25}},
 	}
-	cfg := h.config()
 	cfg.Budget = 15
 	for _, c := range cases {
-		ecfg := explore.DefaultConfig(h.Lib)
+		ecfg := cfg.ExploreConfig()
 		ecfg.Weights = c.Weights
-		ecfg.Workers = h.workers()
-		res := explore.Explore(b.Program, ecfg)
-		c.Examined = res.Stats.Examined
-		cands := cfu.Combine(res, h.Lib, cfu.CombineOptions{})
-		m := core.Select(app, cfu.NewSelector(cands), false, cfg)
-		_, rep, err := core.Compile(b.Program, m, cfg)
-		if err != nil {
+		if _, c.Speedup, c.Examined, err = customize(app, b.Program, cfg, ecfg); err != nil {
 			return nil, err
 		}
-		c.Speedup = rep.Speedup
 	}
 	return cases, nil
 }
 
 // SortedSizes returns the ascending subgraph sizes present in either mode.
 func (st *ExplorationStats) SortedSizes() []int {
-	seen := map[int]bool{}
 	var out []int
 	for s := range st.NaiveBySize {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
+		out = append(out, s)
 	}
 	for s := range st.GuidedBySize {
-		if !seen[s] {
-			seen[s] = true
+		if _, dup := st.NaiveBySize[s]; !dup {
 			out = append(out, s)
 		}
 	}

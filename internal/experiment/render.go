@@ -144,6 +144,9 @@ func RenderMemoryCFU(w io.Writer, budget float64, rows []*MemoryCFUResult) {
 	fmt.Fprintf(w, "Relaxed memory restriction at the %.0f-adder point (paper's future work)\n", budget)
 	fmt.Fprintf(w, "  %-12s %9s %9s %9s\n", "app", "no-mem", "with-mem", "mem CFUs")
 	for _, r := range rows {
+		if r == nil {
+			continue
+		}
 		fmt.Fprintf(w, "  %-12s %9.2f %9.2f %9d\n", r.App, r.NoMem, r.WithMem, r.MemCFUs)
 	}
 }
