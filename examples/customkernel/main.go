@@ -60,12 +60,10 @@ func main() {
 	// instruction highlighted, as in the paper's Figure 2.
 	hot := res.Program.Blocks[0]
 	var members ir.OpSet
-	d := ir.Analyze(hot)
 	for i, op := range hot.Ops {
-		_ = i
 		if op.Code == ir.Custom {
 			// Highlight the custom op itself in the transformed DFG.
-			members = ir.NewOpSet(d.Pos[op])
+			members = ir.NewOpSet(i)
 			break
 		}
 	}

@@ -188,9 +188,11 @@ func TestCombineOneEntryTwice(t *testing.T) {
 	}
 }
 
-// TestCombineSharedEntryConcurrent combines two replays of one corpus
-// entry at once, before anything has built the entry's shape index, and
-// analyzes both CFU lists at once. The lists share shapes, which are
+// TestCombineSharedEntryConcurrent combines two replays of one corpus at
+// once, before anything has built its entries' shape indexes, and analyzes
+// both CFU lists at once. The two runs may each build some of the entries'
+// indexes, but every index is built exactly once: together they build as
+// many shapes as one cold combine. The lists share shapes, which are
 // immutable, but no mutable state. Under -race this catches an index built
 // twice or a CFU field shared between the runs.
 func TestCombineSharedEntryConcurrent(t *testing.T) {
@@ -204,6 +206,10 @@ func TestCombineSharedEntryConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := explore.DefaultConfig(lib)
+	_, cold, _ := combineCounted(explore.Explore(w.Program, cfg), lib)
+	if cold == 0 {
+		t.Fatal("a cold combine built no shapes")
+	}
 	cfg.Corpus = store
 	explore.Explore(w.Program, cfg) // fills the corpus, builds no index
 
@@ -221,8 +227,8 @@ func TestCombineSharedEntryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if built[0] > 0 && built[1] > 0 {
-		t.Errorf("both runs built the entry's shape index (%d and %d shapes)", built[0], built[1])
+	if built[0]+built[1] != cold {
+		t.Errorf("the runs built %d and %d shapes; want %d together, one cold combine's worth", built[0], built[1], cold)
 	}
 	a, b := runs[0], runs[1]
 	if err := sameCFUs(a, b); err != nil {

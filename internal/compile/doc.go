@@ -8,7 +8,13 @@
 //
 // Each block is rewritten through one workspace: its DFG, rebuilt in
 // place (ir.DFG.Reanalyze) after every replacement, and the buffers the
-// replacement's re-linearization reuses.
+// replacement's re-linearization reuses. A replacement can only move ops
+// between its first and last matched op: once every dependence edge of
+// the block runs forward, which every replacement leaves true, nothing
+// before that window depends on a member and everything after it follows
+// the whole window. So the re-linearization orders the window alone and
+// copies the rest, and a replacement costs the window's edges plus one
+// linear re-analysis of the block.
 //
 // A ScheduleMemo, passed in Options.Schedules, lets compiles that share
 // blocks schedule each distinct (block content, machine, register count)

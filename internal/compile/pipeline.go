@@ -91,22 +91,11 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 	out := p.Clone()
 	rep := &Report{Source: p.Name, MDESSource: m.Source, PerCFU: make(map[string]int), Truncated: m.Truncated}
 
-	var opMatch func(pat, op ir.Opcode) bool
-	if opts.UseOpcodeClasses {
-		opMatch = func(pat, op ir.Opcode) bool {
-			if pat == op {
-				return true
-			}
-			c := lib.ClassOf(pat)
-			return c != hwlib.ClassNone && c == lib.ClassOf(op)
-		}
-	}
-
-	classOf := func(c ir.Opcode) uint8 { return uint8(lib.ClassOf(c)) }
+	opMatch, classOf := opcodeMatchers(lib, opts.UseOpcodeClasses)
 	endMatch := opts.Telemetry.StartSpan("compile.match")
 	var mstats graph.MatchStats
 	for _, b := range out.Blocks {
-		exact, variant, err := customizeBlock(b, m, opMatch, classOf, opts.UseVariants, rep.PerCFU, &mstats)
+		exact, variant, err := customizeBlock(b, m, opMatch, classOf, opts.UseVariants, rep.PerCFU, &mstats, (*blockWork).replaceMatch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -155,12 +144,29 @@ func Compile(p *ir.Program, m *mdes.MDES, opts Options) (*ir.Program, *Report, e
 	return out, rep, nil
 }
 
-// customizeBlock runs match discovery and replacement for one block.
+// opcodeMatchers returns the matcher's opcode predicates under lib: the
+// class-wildcard OpMatch when classes is set (nil, exact matching,
+// otherwise), and the ClassOf that multi-function nodes match through.
+func opcodeMatchers(lib *hwlib.Library, classes bool) (opMatch func(pat, op ir.Opcode) bool, classOf func(ir.Opcode) uint8) {
+	if classes {
+		opMatch = func(pat, op ir.Opcode) bool {
+			if pat == op {
+				return true
+			}
+			c := lib.ClassOf(pat)
+			return c != hwlib.ClassNone && c == lib.ClassOf(op)
+		}
+	}
+	return opMatch, func(c ir.Opcode) uint8 { return uint8(lib.ClassOf(c)) }
+}
+
+// customizeBlock runs match discovery and replacement for one block,
+// rewriting each match through replace ((*blockWork).replaceMatch).
 // Matching proceeds in two passes — exact patterns of every CFU in priority
 // order, then subsumed variants — so exact uses of the hardware win
 // contested operations, mirroring the hardware compiler's desirability
 // ordering.
-func customizeBlock(b *ir.Block, m *mdes.MDES, opMatch func(ir.Opcode, ir.Opcode) bool, classOf func(ir.Opcode) uint8, useVariants bool, perCFU map[string]int, mstats *graph.MatchStats) (exact, variant int, err error) {
+func customizeBlock(b *ir.Block, m *mdes.MDES, opMatch func(ir.Opcode, ir.Opcode) bool, classOf func(ir.Opcode) uint8, useVariants bool, perCFU map[string]int, mstats *graph.MatchStats, replace func(*blockWork, *ir.Block, *graph.Shape, graph.Match, *ir.CustomInst) error) (exact, variant int, err error) {
 	claimed := make(map[int]bool) // op IDs absorbed into custom instructions
 
 	type patref struct {
@@ -216,7 +222,7 @@ func customizeBlock(b *ir.Block, m *mdes.MDES, opMatch func(ir.Opcode, ir.Opcode
 				for i := range match.Set {
 					claimed[b.Ops[i].ID] = true
 				}
-				if err := w.replaceMatch(b, pr.shape, match, ci); err != nil {
+				if err := replace(w, b, pr.shape, match, ci); err != nil {
 					return exact, variant, err
 				}
 				perCFU[pr.spec.Name]++

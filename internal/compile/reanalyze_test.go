@@ -2,8 +2,8 @@ package compile
 
 import (
 	"fmt"
-	"maps"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cfu"
@@ -23,8 +23,6 @@ func sameDFG(got, want *ir.DFG) string {
 	switch {
 	case got.Block != want.Block:
 		return "Block"
-	case !maps.Equal(got.Pos, want.Pos):
-		return "Pos"
 	case got.CritLen != want.CritLen:
 		return fmt.Sprintf("CritLen %d, want %d", got.CritLen, want.CritLen)
 	case len(got.Preds) != n || len(got.Succs) != n || len(got.DataPreds) != n || len(got.DataSuccs) != n:
@@ -48,6 +46,18 @@ func sameDFG(got, want *ir.DFG) string {
 			return fmt.Sprintf("DataSuccs[%d]", i)
 		}
 	}
+	// The position index finds every op at its index, and no op of
+	// another block, even one with the same ID.
+	stranger := new(ir.Op)
+	for i, op := range want.Block.Ops {
+		if j, ok := got.Pos.Lookup(op); !ok || j != i {
+			return fmt.Sprintf("Pos.Lookup(op %d) = %d, %v", i, j, ok)
+		}
+		stranger.ID = op.ID
+		if j, ok := got.Pos.Lookup(stranger); ok {
+			return fmt.Sprintf("Pos.Lookup finds a foreign op with ID %d at %d", op.ID, j)
+		}
+	}
 	for c := ir.Opcode(0); c < ir.MaxOpcode; c++ {
 		if !slices.Equal(got.OpsByCode(c), want.OpsByCode(c)) {
 			return fmt.Sprintf("OpsByCode(%s)", c)
@@ -56,23 +66,53 @@ func sameDFG(got, want *ir.DFG) string {
 	return ""
 }
 
-// reanalyzePrograms is every benchmark plus synthetic programs of seeds
-// 1-3.
-func reanalyzePrograms(t *testing.T) []*ir.Program {
-	var ps []*ir.Program
+// testProgram is a program the replacement tests compile, with its
+// combined candidates.
+type testProgram struct {
+	*ir.Program
+	cands []*cfu.CFU
+}
+
+// testPrograms is every benchmark, synthetic programs of seeds 1-3 and the
+// synthetic stress program, explored and combined once for all tests. The
+// stress program's blocks are explored for at most 20000 examined
+// subgraphs each.
+var testPrograms = sync.OnceValues(func() ([]testProgram, error) {
+	ps := []*ir.Program{}
 	for _, b := range workloads.All() {
 		ps = append(ps, b.Program)
 	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		spec := synth.DefaultSpec()
-		spec.Seed = seed
+	specs := []synth.Spec{synth.DefaultSpec(), synth.DefaultSpec(), synth.DefaultSpec(), synth.StressSpec()}
+	for i := range 3 {
+		specs[i].Seed = uint64(i + 1)
+	}
+	for _, spec := range specs {
 		p, err := synth.Generate(spec)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		ps = append(ps, p)
 	}
-	return ps
+	lib := hwlib.Default()
+	var out []testProgram
+	for _, p := range ps {
+		cfg := explore.DefaultConfig(lib)
+		if p.Name == synth.StressSpec().Name {
+			cfg.MaxExamined = 20000
+		}
+		out = append(out, testProgram{p, cfu.Combine(explore.Explore(p, cfg), lib, cfu.CombineOptions{})})
+	}
+	return out, nil
+})
+
+// reanalyzePrograms is every benchmark plus synthetic programs of seeds
+// 1-3, with their combined candidates.
+func reanalyzePrograms(t *testing.T) []testProgram {
+	ps, err := testPrograms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps[:len(ps)-1]
 }
 
 // TestReanalyzeMatchesAnalyze replays the compiler's match-and-replace loop
@@ -86,8 +126,7 @@ func TestReanalyzeMatchesAnalyze(t *testing.T) {
 	progs := reanalyzePrograms(t)
 	replacements := 0
 	for _, p := range progs {
-		cands := cfu.Combine(explore.Explore(p, explore.DefaultConfig(lib)), lib, cfu.CombineOptions{})
-		m := mdes.FromSelection(p.Name, 15, cfu.Select(cands, cfu.SelectOptions{Budget: 15, Lib: lib}))
+		m := mdes.FromSelection(p.Name, 15, cfu.Select(p.cands, cfu.SelectOptions{Budget: 15, Lib: lib}))
 		var shapes []*graph.Shape
 		var specs []*mdes.CFUSpec
 		for i := range m.CFUs {
@@ -132,12 +171,21 @@ func TestReanalyzeMatchesAnalyze(t *testing.T) {
 
 	d := new(ir.DFG)
 	grew, shrank, prev := 0, 0, 0
+	var prevBlock *ir.Block
 	for _, p := range progs {
 		for _, b := range p.Blocks {
 			d.Reanalyze(b)
 			if diff := sameDFG(d, ir.Analyze(b)); diff != "" {
 				t.Fatalf("%s/%s: recycled DFG (previous block %d ops) differs in %s", p.Name, b.Name, prev, diff)
 			}
+			if prevBlock != nil {
+				for _, op := range prevBlock.Ops {
+					if i, ok := d.Pos.Lookup(op); ok {
+						t.Fatalf("%s/%s: Pos.Lookup finds op %%%d of the previous block at %d", p.Name, b.Name, op.ID, i)
+					}
+				}
+			}
+			prevBlock = b
 			if n := len(b.Ops); n > prev {
 				grew++
 			} else if n < prev {

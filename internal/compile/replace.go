@@ -13,7 +13,11 @@ import (
 // and replaceMatch's collapse buffers. Nothing outside customizeBlock sees
 // the DFG, so recycling it is safe.
 type blockWork struct {
-	d        *ir.DFG
+	d *ir.DFG
+	// topo records that every dependence edge of the block runs forward in
+	// its op order, which lets replaceMatch re-linearize only the match's
+	// window. Every replacement leaves the block so ordered.
+	topo     bool
 	inSet    []bool
 	cnt32    []int32 // indeg, then succCnt
 	flags    []bool  // intoCustom, then fromCustom
@@ -30,8 +34,13 @@ type blockWork struct {
 }
 
 func newBlockWork(b *ir.Block) *blockWork {
-	w := &blockWork{d: new(ir.DFG)}
+	w := &blockWork{d: new(ir.DFG), topo: true}
 	w.d.Reanalyze(b)
+	for i, ps := range w.d.Preds {
+		for _, p := range ps {
+			w.topo = w.topo && p < i
+		}
+	}
 	return w
 }
 
@@ -56,6 +65,13 @@ func reuse[T any](buf []T, n int) []T {
 // order with original position as the tie-break implements exactly the
 // paper's reorganization (successors scheduled before the last predecessor
 // are moved after it, along with the operations depending on them).
+//
+// When every edge runs forward (w.topo), only the window from the first
+// to the last member can move: no op before it depends on a member, every
+// op after it follows the whole window, and any cycle through the collapsed
+// node lies inside it. So the ordering runs on the window alone, and the
+// ops before and after it keep their places, exactly as the whole-block
+// ordering leaves them.
 func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Match, ci *ir.CustomInst) error {
 	d := w.d
 	n := len(b.Ops)
@@ -70,74 +86,62 @@ func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Matc
 			custom.Dests[k] = op.Dest
 		}
 	}
-	outPort := func(j int) int {
-		for k, nodeIdx := range pattern.Outputs {
-			if m.NodeToOp[nodeIdx] == j {
-				return k
-			}
-		}
-		return -1
-	}
 	w.inSet = reuse(w.inSet, n)
-	inSetArr := w.inSet
+	inSet := w.inSet
+	first, last := n, -1
 	for i := range m.Set {
-		if i >= 0 && i < n {
-			inSetArr[i] = true
-		}
+		inSet[i] = true
+		first, last = min(first, i), max(last, i)
 	}
-	inSet := func(i int) bool { return inSetArr[i] }
-	for i, op := range b.Ops {
-		if i < n && inSet(i) || op == custom {
-			continue
-		}
-		for ai := range op.Args {
-			a := op.Args[ai]
-			if a.Kind != ir.FromOp {
+	for node, j := range m.NodeToOp {
+		port := slices.Index(pattern.Outputs, node)
+		for _, u := range d.Users(j) {
+			if inSet[u] {
 				continue
 			}
-			j, ok := d.Pos[a.X]
-			if !ok || !inSet(j) {
-				continue
-			}
-			port := outPort(j)
 			if port < 0 {
-				return fmt.Errorf("compile: internal value of %s escapes to op %%%d", ci.Name, op.ID)
+				return fmt.Errorf("compile: internal value of %s escapes to op %%%d", ci.Name, b.Ops[u].ID)
 			}
-			op.Args[ai] = custom.OutN(port)
+			for ai, a := range b.Ops[u].Args {
+				if a.Kind == ir.FromOp && a.X == b.Ops[j] {
+					b.Ops[u].Args[ai] = custom.OutN(port)
+				}
+			}
 		}
 	}
 
-	// Collapse: topologically order non-member ops plus the custom node.
-	// Edges: original edges between non-members; member edges redirect to
-	// the custom node. Original position breaks ties, so operations keep
-	// their order unless correctness forces a move.
+	// Collapse: topologically order the window's non-member ops plus the
+	// custom node. Edges: original edges between non-members; member edges
+	// redirect to the custom node; edges from before the window are already
+	// met. Original position breaks ties, so operations keep their order
+	// unless correctness forces a move.
 	//
-	// Node ids are op indices 0..n-1 plus id n for the custom node, so the
-	// whole ordering runs on flat slices. Edges between two non-members are
-	// already unique (d.Preds holds each pred once); only edges touching
-	// the collapsed custom node can repeat, so two boolean sides dedup them.
-	customNode := n
-	firstMember := n
-	for i := range m.Set {
-		if i < firstMember {
-			firstMember = i
-		}
+	// Node ids are window offsets 0..wn-1 plus id wn for the custom node,
+	// so the whole ordering runs on flat slices. Edges between two
+	// non-members are already unique (d.Preds holds each pred once); only
+	// edges touching the collapsed custom node can repeat, so two boolean
+	// sides dedup them.
+	lo, hi := first, last
+	if !w.topo {
+		lo, hi = 0, n-1
 	}
+	wn := hi - lo + 1
+	customNode := wn
 	pos := func(id int) int {
 		if id == customNode {
 			// The custom op inherits the position of its first member so
 			// the linear order changes minimally.
-			return firstMember
+			return first - lo
 		}
 		return id
 	}
-	w.cnt32 = reuse(w.cnt32, 2*(n+1))
-	indeg := w.cnt32[: n+1 : n+1]
-	succCnt := w.cnt32[n+1:]
-	w.flags = reuse(w.flags, 2*n+1)
-	intoCustom := w.flags[:n:n] // non-member p already has edge p -> custom
-	fromCustom := w.flags[n:]   // target already has edge custom -> target
-	edges := slices.Grow(w.edges[:0], 4*n)
+	w.cnt32 = reuse(w.cnt32, 2*(wn+1))
+	indeg := w.cnt32[: wn+1 : wn+1]
+	succCnt := w.cnt32[wn+1:]
+	w.flags = reuse(w.flags, 2*wn+1)
+	intoCustom := w.flags[:wn:wn] // non-member p already has edge p -> custom
+	fromCustom := w.flags[wn:]    // target already has edge custom -> target
+	edges := w.edges[:0]
 	addEdge := func(from, to int) {
 		if from == to {
 			return
@@ -158,24 +162,26 @@ func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Matc
 		edges = append(edges, int64(from)<<32|int64(to))
 	}
 	mapNode := func(i int) int {
-		if inSet(i) {
+		if inSet[i] {
 			return customNode
 		}
-		return i
+		return i - lo
 	}
-	for i := 0; i < n; i++ {
+	for i := lo; i <= hi; i++ {
 		for _, p := range d.Preds[i] {
-			addEdge(mapNode(p), mapNode(i))
+			if p >= lo {
+				addEdge(mapNode(p), mapNode(i))
+			}
 		}
 	}
 	w.edges = edges
 	// Successor lists carved from one backing array; appends below stay
 	// within the per-node capacity windows and cannot allocate.
 	w.succFlat = reuse(w.succFlat, len(edges))
-	w.succs = reuse(w.succs, n+1)
+	w.succs = reuse(w.succs, wn+1)
 	succs := w.succs
 	so := 0
-	for i := 0; i <= n; i++ {
+	for i := 0; i <= wn; i++ {
 		succs[i] = w.succFlat[so : so : so+int(succCnt[i])]
 		so += int(succCnt[i])
 	}
@@ -183,23 +189,23 @@ func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Matc
 		succs[e>>32] = append(succs[e>>32], int32(e&0xFFFFFFFF))
 	}
 
-	nodes := slices.Grow(w.nodes[:0], n+1)
-	for i := 0; i < n; i++ {
-		if !inSet(i) {
-			nodes = append(nodes, i)
+	nodes := w.nodes[:0]
+	for i := lo; i <= hi; i++ {
+		if !inSet[i] {
+			nodes = append(nodes, i-lo)
 		}
 	}
 	nodes = append(nodes, customNode)
 	w.nodes = nodes
 
 	// Kahn's algorithm with position-ordered ready set.
-	ready := slices.Grow(w.ready[:0], len(nodes))
+	ready := w.ready[:0]
 	for _, id := range nodes {
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
 	}
-	order := slices.Grow(w.order[:0], len(nodes))
+	order := w.order[:0]
 	for len(ready) > 0 {
 		// Pick the ready node with the smallest original position.
 		bi := 0
@@ -223,14 +229,15 @@ func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Matc
 		return fmt.Errorf("compile: replacement of %s created a dependence cycle", ci.Name)
 	}
 
-	newOps := slices.Grow(w.newOps[:0], len(order))
+	newOps := append(w.newOps[:0], b.Ops[:lo]...)
 	for _, id := range order {
 		if id == customNode {
 			newOps = append(newOps, custom)
 		} else {
-			newOps = append(newOps, b.Ops[id])
+			newOps = append(newOps, b.Ops[lo+id])
 		}
 	}
+	newOps = append(newOps, b.Ops[hi+1:n]...)
 	// Keep the terminator last if one exists (topo edges already force it,
 	// but a custom op appended after a branch must not trail it).
 	for i, op := range newOps {
@@ -241,6 +248,7 @@ func (w *blockWork) replaceMatch(b *ir.Block, pattern *graph.Shape, m graph.Matc
 	}
 	w.newOps = b.Ops[:0]
 	b.Ops = newOps
+	w.topo = true
 	d.Reanalyze(b)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/corpus"
@@ -120,6 +121,7 @@ func replayEntry(b *ir.Block, e *corpus.Entry, res *Result) bool {
 	if len(e.Candidates) > 0 {
 		d = ir.Analyze(b)
 	}
+	res.Candidates = slices.Grow(res.Candidates, len(e.Candidates))
 	for i := range e.Candidates {
 		c := &e.Candidates[i]
 		res.Candidates = append(res.Candidates, Candidate{

@@ -355,6 +355,13 @@ func exploreBlocksParallel(strat Strategy, blocks []*ir.Block, cfg Config, res *
 			}
 		}
 	}
+	total := 0
+	for _, r := range results {
+		if r != nil {
+			total += len(r.Candidates)
+		}
+	}
+	res.Candidates = slices.Grow(res.Candidates, total)
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -467,7 +474,8 @@ func newBlockCtx(b *ir.Block, lib *hwlib.Library) *blockCtx {
 		for _, a := range op.Args {
 			switch a.Kind {
 			case ir.FromOp:
-				c.argVals[i].set(d.Pos[a.X])
+				j, _ := d.Pos.Lookup(a.X)
+				c.argVals[i].set(j)
 			case ir.FromReg:
 				c.argVals[i].set(n + regID[a.Reg])
 			}

@@ -20,20 +20,16 @@ type matchScratch struct {
 	inputBind  []ir.Operand
 	inputBound []bool
 	boundStack []int
+	marks      []uint8 // ir.DFG.Convex's working storage
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 
-func intsN(buf []int, n int) []int {
+// sized returns buf resized to n elements, reallocating only when its
+// capacity is short. Contents are not cleared.
+func sized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func boolsN(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -129,8 +125,8 @@ func FindMatches(d *ir.DFG, s *Shape, opts MatchOptions) []Match {
 	// Per-pattern-node invariants for the feasibility filters: the data
 	// depth of each node within the pattern, and how many distinct pattern
 	// nodes read it.
-	patDepth := intsN(scratch.patDepth, n)
-	patReaders := intsN(scratch.patReaders, n)
+	patDepth := sized(scratch.patDepth, n)
+	patReaders := sized(scratch.patReaders, n)
 	clear(patReaders)
 	for i, pn := range s.Nodes {
 		dep := 1
@@ -161,21 +157,17 @@ func FindMatches(d *ir.DFG, s *Shape, opts MatchOptions) []Match {
 		}
 	}
 
-	mapping := intsN(scratch.mapping, n)
+	mapping := sized(scratch.mapping, n)
 	for i := range mapping {
 		mapping[i] = -1
 	}
-	usedOp := boolsN(scratch.usedOp, blockN)
+	usedOp := sized(scratch.usedOp, blockN)
 	clear(usedOp)
-	inputBind := scratch.inputBind
-	if cap(inputBind) < s.NumInputs {
-		inputBind = make([]ir.Operand, s.NumInputs)
-	} else {
-		inputBind = inputBind[:s.NumInputs]
-	}
-	inputBound := boolsN(scratch.inputBound, s.NumInputs)
+	inputBind := sized(scratch.inputBind, s.NumInputs)
+	inputBound := sized(scratch.inputBound, s.NumInputs)
 	clear(inputBound)
-	boundStack := intsN(scratch.boundStack, 0)
+	boundStack := sized(scratch.boundStack, 0)
+	marks := sized(scratch.marks, blockN)
 
 	var results []Match
 	var resultHashes []uint64
@@ -226,13 +218,13 @@ func FindMatches(d *ir.DFG, s *Shape, opts MatchOptions) []Match {
 				if arg.Kind != ir.FromOp || arg.Idx != 0 {
 					return false
 				}
-				if mapping[r.Index] != d.Pos[arg.X] {
+				if j, ok := d.Pos.Lookup(arg.X); !ok || mapping[r.Index] != j {
 					return false
 				}
 			case RefInput:
 				// An external input must not be produced by a matched op.
 				if arg.Kind == ir.FromOp {
-					if j, ok := d.Pos[arg.X]; ok && usedOp[j] {
+					if j, ok := d.Pos.Lookup(arg.X); ok && usedOp[j] {
 						return false
 					}
 				}
@@ -308,18 +300,17 @@ func FindMatches(d *ir.DFG, s *Shape, opts MatchOptions) []Match {
 		// Input bindings must not come from inside the set (circularity).
 		for p := 0; p < s.NumInputs; p++ {
 			if inputBound[p] && inputBind[p].Kind == ir.FromOp {
-				if j, ok := d.Pos[inputBind[p].X]; ok && usedOp[j] {
+				if j, ok := d.Pos.Lookup(inputBind[p].X); ok && usedOp[j] {
 					return
 				}
 			}
 		}
-		set := ir.NewOpSet(mapping...)
-		if !set.Convex(d) {
+		if !d.Convex(mapping, marks) {
 			return
 		}
 		m := Match{
 			NodeToOp: append([]int(nil), mapping...),
-			Set:      set,
+			Set:      ir.NewOpSet(mapping...),
 			Inputs:   make([]ir.Operand, s.NumInputs),
 		}
 		copy(m.Inputs, inputBind)
@@ -452,6 +443,7 @@ func FindMatches(d *ir.DFG, s *Shape, opts MatchOptions) []Match {
 	scratch.inputBind = inputBind
 	scratch.inputBound = inputBound
 	scratch.boundStack = boundStack
+	scratch.marks = marks
 	matchScratchPool.Put(scratch)
 
 	if opts.Stats != nil {

@@ -11,8 +11,9 @@ import (
 // so a topological order of the DFG is always a legal execution order.
 type DFG struct {
 	Block *Block
-	// Pos maps an op to its index in Block.Ops at analysis time.
-	Pos map[*Op]int
+	// Pos indexes op positions: Pos.Lookup(op) is op's index in Block.Ops
+	// at analysis time.
+	Pos OpIndex
 	// Preds[i] and Succs[i] are dependence edges by op index. Data,
 	// memory-ordering, and terminator edges are merged; duplicates removed.
 	Preds, Succs [][]int
@@ -96,14 +97,7 @@ func (d *DFG) build(b *Block, sc *analyzeScratch) {
 	n := len(b.Ops)
 	d.Block = b
 	d.CritLen = 0
-	if d.Pos == nil {
-		d.Pos = make(map[*Op]int, n)
-	} else {
-		clear(d.Pos)
-	}
-	for i, op := range b.Ops {
-		d.Pos[op] = i
-	}
+	d.Pos.reset(b.Ops)
 	d.Preds = reuse(d.Preds, n)
 	d.Succs = reuse(d.Succs, n)
 	d.DataPreds = reuse(d.DataPreds, n)
@@ -152,7 +146,7 @@ func (d *DFG) build(b *Block, sc *analyzeScratch) {
 	for i, op := range b.Ops {
 		for _, a := range op.Args {
 			if a.Kind == FromOp {
-				j, ok := d.Pos[a.X]
+				j, ok := d.Pos.Lookup(a.X)
 				if !ok {
 					panic(fmt.Sprintf("ir: op %%%d in block %q uses op not in block", op.ID, b.Name))
 				}
@@ -286,6 +280,56 @@ func (d *DFG) build(b *Block, sc *analyzeScratch) {
 	for i, op := range b.Ops {
 		d.codeIdx[fill[op.Code]] = int32(i)
 		fill[op.Code]++
+	}
+}
+
+// OpIndex maps each op of a block to its position in Block.Ops: a flat
+// open-addressing table keyed by op ID, at most half full. Slots compare
+// ops by pointer, so ops sharing an ID only share a probe chain.
+type OpIndex struct {
+	slots []opSlot
+	shift uint8 // 64 - log2(len(slots))
+}
+
+type opSlot struct {
+	op  *Op
+	pos int
+}
+
+// home is the first slot an op with this ID probes (Fibonacci hashing).
+func (x *OpIndex) home(id int) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> x.shift)
+}
+
+// reset indexes ops, reusing the table when it is large enough.
+func (x *OpIndex) reset(ops []*Op) {
+	size, shift := 1, uint8(64)
+	for size < 2*len(ops) {
+		size, shift = size<<1, shift-1
+	}
+	x.slots, x.shift = reuse(x.slots, size), shift
+	for i, op := range ops {
+		h := x.home(op.ID)
+		for x.slots[h].op != nil {
+			h = (h + 1) & (size - 1)
+		}
+		x.slots[h] = opSlot{op, i}
+	}
+}
+
+// Lookup returns op's index in Block.Ops, and false when op is not one of
+// the block's ops.
+func (x *OpIndex) Lookup(op *Op) (int, bool) {
+	if op == nil || len(x.slots) == 0 {
+		return 0, false
+	}
+	for h := x.home(op.ID); ; h = (h + 1) & (len(x.slots) - 1) {
+		switch x.slots[h].op {
+		case op:
+			return x.slots[h].pos, true
+		case nil:
+			return 0, false
+		}
 	}
 }
 

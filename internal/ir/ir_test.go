@@ -117,11 +117,18 @@ func TestAnalyzeSlackOffCriticalPath(t *testing.T) {
 	if d.CritLen != 4 {
 		t.Fatalf("critlen = %d, want 4", d.CritLen)
 	}
-	if d.Slack[d.Pos[s1.X]] != 2 {
-		t.Fatalf("short arm slack = %d, want 2", d.Slack[d.Pos[s1.X]])
+	pos := func(op *Op) int {
+		i, ok := d.Pos.Lookup(op)
+		if !ok {
+			t.Fatalf("op %%%d not indexed", op.ID)
+		}
+		return i
 	}
-	if d.Slack[d.Pos[join.X]] != 0 {
-		t.Fatalf("join slack = %d, want 0", d.Slack[d.Pos[join.X]])
+	if got := d.Slack[pos(s1.X)]; got != 2 {
+		t.Fatalf("short arm slack = %d, want 2", got)
+	}
+	if got := d.Slack[pos(join.X)]; got != 0 {
+		t.Fatalf("join slack = %d, want 0", got)
 	}
 }
 

@@ -123,34 +123,59 @@ func (s OpSet) Connected(d *DFG) bool {
 // re-enters it. Convexity is required for the subgraph to execute as one
 // atomic custom instruction.
 func (s OpSet) Convex(d *DFG) bool {
+	members := make([]int, 0, len(s))
+	for i := range s {
+		members = append(members, i)
+	}
+	return d.Convex(members, make([]uint8, len(d.Block.Ops)))
+}
+
+// Marks of Convex's search, one per op.
+const (
+	markUnseen  uint8 = iota
+	markMisses        // no forward path from the op reaches a member
+	markReaches       // some forward path from the op reaches a member
+	markMember
+)
+
+// Convex reports whether the ops at the distinct indices members form a
+// convex subgraph (see OpSet.Convex). marks, at least one entry per op, is
+// its only working storage; its contents are overwritten.
+func (d *DFG) Convex(members []int, marks []uint8) bool {
+	marks = marks[:len(d.Block.Ops)]
+	clear(marks)
+	for _, i := range members {
+		marks[i] = markMember
+	}
 	// From each external successor of a member, ops reachable forward must
 	// not include a member.
-	reachesMember := make(map[int]int) // 1 = no, 2 = yes
-	var dfs func(i int) bool
-	dfs = func(i int) bool {
-		if s.Has(i) {
-			return true
-		}
-		if v := reachesMember[i]; v != 0 {
-			return v == 2
-		}
-		reachesMember[i] = 1
+	for _, i := range members {
 		for _, u := range d.Succs[i] {
-			if dfs(u) {
-				reachesMember[i] = 2
-				return true
-			}
-		}
-		return false
-	}
-	for i := range s {
-		for _, u := range d.Succs[i] {
-			if !s.Has(u) && dfs(u) {
+			if marks[u] != markMember && d.reachesMember(u, marks) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// reachesMember reports whether a forward dependence path from op i reaches
+// a member, memoizing each visited op's answer in marks.
+func (d *DFG) reachesMember(i int, marks []uint8) bool {
+	switch marks[i] {
+	case markMember, markReaches:
+		return true
+	case markMisses:
+		return false
+	}
+	marks[i] = markMisses
+	for _, u := range d.Succs[i] {
+		if d.reachesMember(u, marks) {
+			marks[i] = markReaches
+			return true
+		}
+	}
+	return false
 }
 
 // ExternalInputs returns the distinct external register-file values consumed
@@ -164,7 +189,7 @@ func (s OpSet) ExternalInputs(d *DFG) []Operand {
 			if a.Kind == Imm {
 				continue
 			}
-			if a.Kind == FromOp && s.Has(d.Pos[a.X]) {
+			if j, ok := d.Pos.Lookup(a.X); a.Kind == FromOp && ok && s.Has(j) {
 				continue
 			}
 			dup := false
